@@ -16,7 +16,7 @@ import os
 import time
 
 from repro.bench import format_table
-from repro.parallel import omp_compress, procpool_compress
+from repro.codec import CodecConfig, SZxCodec
 from repro.parallel.scaling import modeled_throughput
 
 from _common import REL_BOUNDS, all_apps, app_fields, save_cells
@@ -38,10 +38,17 @@ def measure_backend(fn, *args, repeats=3, **kw):
     return best, result
 
 
-def project(single_core, n_threads=N_THREADS):
-    """Project Table 4/5-style measurements to n_threads, in GB/s."""
+def pool_codec(workers, backend="thread"):
+    """The codec at REL 1e-3 on *backend* with *workers* pool workers."""
+    return SZxCodec(CodecConfig(
+        err_bound=1e-3, mode="rel", workers=workers, backend=backend
+    ))
+
+
+def project(single_core):
+    """Project Table 4/5-style measurements to N_THREADS, in GB/s."""
     return {
-        (comp, rel, app): modeled_throughput(_KEYS[comp], mb_s, n_threads) / 1e3
+        (comp, rel, app): modeled_throughput(_KEYS[comp], mb_s, N_THREADS) / 1e3
         for (comp, rel, app), mb_s in single_core.items()
     }
 
@@ -70,15 +77,16 @@ def check_szx_best(table):
 def test_table6_omp_compress(benchmark):
     data = app_fields("Miranda", limit=1)[0][1]
     n_host = os.cpu_count() or 1
-    benchmark(omp_compress, data, 1e-3, mode="rel", n_threads=n_host)
+    thread_codec = pool_codec(n_host)
+    benchmark(thread_codec.compress, data)
 
     # Process-backend column: measured (not projected) throughput of the
     # shared-memory pool on the same field, plus byte-identity with the
     # thread backend — the cross-backend guarantee, re-checked at bench
     # scale.
-    thread_stream = omp_compress(data, 1e-3, mode="rel", n_threads=n_host)
+    thread_stream = thread_codec.compress(data)
     proc_s, proc_stream = measure_backend(
-        procpool_compress, data, 1e-3, mode="rel", n_procs=N_PROCS
+        pool_codec(N_PROCS, "process").compress, data
     )
     assert proc_stream == thread_stream, "process backend stream diverged"
     proc_mb_s = data.nbytes / 1e6 / proc_s

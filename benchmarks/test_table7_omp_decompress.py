@@ -11,26 +11,32 @@ import os
 import numpy as np
 
 from repro.bench import format_table
-from repro.parallel import omp_compress, omp_decompress, procpool_decompress
 
 from _common import REL_BOUNDS, all_apps, app_fields, save_cells
 
 from test_table4_compress_throughput import measure
-from test_table6_omp_compress import N_PROCS, N_THREADS, measure_backend, project
+from test_table6_omp_compress import (
+    N_PROCS,
+    N_THREADS,
+    measure_backend,
+    pool_codec,
+    project,
+)
 
 
 def test_table7_omp_decompress(benchmark):
     data = app_fields("Miranda", limit=1)[0][1]
     n_host = os.cpu_count() or 1
-    stream = omp_compress(data, 1e-3, mode="rel", n_threads=n_host)
-    benchmark(omp_decompress, stream, n_threads=n_host)
+    thread_codec = pool_codec(n_host)
+    stream = thread_codec.compress(data)
+    benchmark(thread_codec.decompress, stream)
 
     # Process-backend column: measured shared-memory-pool decode, checked
     # for exact equality with the thread backend's reconstruction.
     proc_s, proc_out = measure_backend(
-        procpool_decompress, stream, n_procs=N_PROCS
+        pool_codec(N_PROCS, "process").decompress, stream
     )
-    assert np.array_equal(proc_out, omp_decompress(stream, n_threads=n_host))
+    assert np.array_equal(proc_out, thread_codec.decompress(stream))
     proc_mb_s = data.nbytes / 1e6 / proc_s
     print(
         f"\nprocess backend (measured, {N_PROCS} procs): "

@@ -16,9 +16,9 @@ import time
 import numpy as np
 
 from repro.baselines import sz_compress, sz_decompress
+from repro.codec import CodecConfig, SZxCodec
 from repro.datasets import get_application
 from repro.iosim import THETAGPU_PFS, simulate_dump, simulate_load
-from repro.parallel import omp_compress, omp_decompress
 
 REL = 1e-3
 RANKS = (64, 256, 1024)
@@ -39,15 +39,12 @@ def measure(codec_compress, codec_decompress, data):
 
 
 def main():
-    n_threads = os.cpu_count() or 1
+    workers = os.cpu_count() or 1
     field = get_application("Nyx", "small").field("temperature")
-    print(f"measuring on Nyx temperature {field.shape} with {n_threads} thread(s)\n")
+    print(f"measuring on Nyx temperature {field.shape} with {workers} thread(s)\n")
 
-    szx = measure(
-        lambda d: omp_compress(d, REL, mode="rel", n_threads=n_threads),
-        lambda s: omp_decompress(s, n_threads=n_threads),
-        field,
-    )
+    codec = SZxCodec(CodecConfig(err_bound=REL, mode="rel", workers=workers))
+    szx = measure(codec.compress, codec.decompress, field)
     sz = measure(
         lambda d: sz_compress(d, REL, mode="rel"),
         sz_decompress,

@@ -8,14 +8,13 @@ The names exported here (see ``__all__``) are the supported surface;
 everything else is internal and may change between versions.
 
 * :class:`repro.SZxCodec` + :class:`repro.CodecConfig` — the unified
-  codec API; all tuning state lives in one frozen config whose
-  canonical worker-count spelling is ``workers`` (``threads=`` /
-  ``num_threads=`` / ``error_bound=`` are deprecated aliases);
+  codec API; all tuning state (bound, mode, block size, checksum,
+  ``workers``, ``backend``) lives in one frozen config;
 * :func:`repro.compress` / :func:`repro.decompress` — functional
   wrappers over the codec, byte-identical by construction;
 * :func:`repro.compress_blocks` / :func:`repro.decompress_blocks` —
-  the fused-kernel single entry (:mod:`repro.core.kernels`) every
-  engine and pool backend routes through; :class:`repro.KernelArena`
+  the fused-kernel single entry (:mod:`repro.core.kernels`) the serial
+  path and both pool backends route through; :class:`repro.KernelArena`
   is its reusable scratch allocator;
 * :class:`repro.StreamFormatError` — root of the typed stream-format
   error hierarchy raised on malformed input;
@@ -47,7 +46,7 @@ from .core import (
 from .codec import Codec, CodecConfig, SZxCodec
 from . import observe
 
-__version__ = "1.2.0"
+__version__ = "2.0.0"
 
 __all__ = [
     # codec surface

@@ -26,9 +26,9 @@ Mirrors the reference SZx artifact's usage on raw binary arrays::
     szx extract   fields.szxa a -o a.f32
 
 ``compress``/``decompress`` accept ``--trace`` (print the per-stage span
-tree), ``--trace-json PATH`` (dump span trees as JSON lines), ``--engine``
-and ``--workers``; ``stats`` decodes a stream under the metrics registry
-and dumps it as JSON.
+tree), ``--trace-json PATH`` (dump span trees as JSON lines),
+``--workers`` and ``--backend``; ``stats`` decodes a stream under the
+metrics registry and dumps it as JSON.
 
 Commands that read compressed input exit with status 2 and a one-line
 diagnostic on malformed streams (never a raw traceback).
@@ -90,7 +90,6 @@ def _codec_config(args, *, err_bound=None) -> CodecConfig:
         err_bound=err_bound,
         mode=getattr(args, "mode", "abs"),
         block_size=getattr(args, "block_size", DEFAULT_BLOCK_SIZE),
-        engine=getattr(args, "engine", "vectorized"),
         checksum=getattr(args, "checksum", False),
         workers=getattr(args, "workers", 1),
         backend=getattr(args, "backend", "thread"),
@@ -961,21 +960,12 @@ def build_parser() -> argparse.ArgumentParser:
             help="dump the span trees as JSON lines to PATH",
         )
 
-    def add_engine_opts(p):
-        p.add_argument(
-            "--engine", choices=("vectorized", "scalar"), default="vectorized"
-        )
+    def add_pool_opts(p):
         p.add_argument(
             "--workers",
             type=int,
             default=1,
             help="worker count (>1 uses the pool selected by --backend)",
-        )
-        p.add_argument(
-            "--threads",
-            dest="workers",
-            type=int,
-            help="deprecated alias of --workers",
         )
         p.add_argument(
             "--backend",
@@ -998,14 +988,14 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="append a CRC32 integrity footer to the stream",
     )
-    add_engine_opts(pc)
+    add_pool_opts(pc)
     add_trace_opts(pc)
     pc.set_defaults(fn=_cmd_compress)
 
     pd = sub.add_parser("decompress", help="reconstruct a raw binary array")
     pd.add_argument("input")
     pd.add_argument("-o", "--output", required=True)
-    add_engine_opts(pd)
+    add_pool_opts(pd)
     add_trace_opts(pd)
     pd.set_defaults(fn=_cmd_decompress)
 

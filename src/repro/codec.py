@@ -1,12 +1,12 @@
 """Unified codec configuration API: ``CodecConfig`` + ``SZxCodec``.
 
 All tuning state that used to travel as ad-hoc kwargs (`mode`,
-`block_size`, `engine`, `checksum`, thread count) lives in one frozen
+`block_size`, `checksum`, worker count, backend) lives in one frozen
 :class:`CodecConfig`; :class:`SZxCodec` binds a config to the
 ``compress(arr) -> bytes`` / ``decompress(stream) -> ndarray`` pair.
-``repro.core.api.compress``/``decompress`` and ``repro.parallel.omp``
-are thin wrappers over this class, so every entry point produces
-byte-identical streams by construction.
+``repro.core.api.compress``/``decompress`` are thin wrappers over this
+class, so every entry point produces byte-identical streams by
+construction.
 
 :class:`Codec` is the minimal protocol the baselines also implement
 (see :mod:`repro.baselines`), letting benchmarks iterate compressors
@@ -17,18 +17,17 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
 import numpy as np
 
 from . import observe
+from .core.api import _MODES, compress_components
 from .core.constants import DEFAULT_BLOCK_SIZE
+from .core.kernels import decompress_blocks
+from .core.stream import parse_stream
 from .parallel.backends import BACKENDS, UnknownBackendError, resolve_backend
-
-_MODES = ("abs", "rel")
-_ENGINES = ("vectorized", "scalar")
 
 
 @runtime_checkable
@@ -42,35 +41,7 @@ class Codec(Protocol):
     def decompress(self, stream) -> np.ndarray: ...
 
 
-#: Deprecated constructor keyword -> canonical field name.  ``threads``
-#: and ``num_threads`` predate the serve/CLI ``workers`` spelling;
-#: ``error_bound`` was the functional API's historical name.
-_DEPRECATED_ALIASES = {
-    "threads": "workers",
-    "num_threads": "workers",
-    "error_bound": "err_bound",
-}
-
-
-def _fold_aliases(kwargs: dict) -> dict:
-    """Translate deprecated spellings in *kwargs* to canonical fields."""
-    for old, new in _DEPRECATED_ALIASES.items():
-        if old in kwargs:
-            if new in kwargs:
-                raise TypeError(
-                    f"pass either {new}= or its deprecated alias {old}=, "
-                    "not both"
-                )
-            warnings.warn(
-                f"the {old}= parameter is deprecated; use {new}=",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            kwargs[new] = kwargs.pop(old)
-    return kwargs
-
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class CodecConfig:
     """Immutable SZx tuning state.
 
@@ -84,63 +55,14 @@ class CodecConfig:
     :class:`~repro.parallel.backends.UnknownBackendError`; a
     ``"process"`` config degrades to the thread pool (with a
     ``RuntimeWarning``) at run time where shared memory is unavailable.
-
-    ``workers`` is the one canonical spelling of the worker count across
-    the library (serve and the CLI use it too); the constructor and
-    :meth:`replace` still accept the deprecated ``threads=`` /
-    ``num_threads=`` aliases (and ``error_bound=`` for ``err_bound``)
-    with a ``DeprecationWarning``.
     """
 
     err_bound: float | None = None
     mode: str = "abs"
     block_size: int = DEFAULT_BLOCK_SIZE
-    engine: str = "vectorized"
     checksum: bool = False
     workers: int = 1
     backend: str = "thread"
-
-    def __init__(
-        self,
-        err_bound: float | None = None,
-        mode: str = "abs",
-        block_size: int = DEFAULT_BLOCK_SIZE,
-        engine: str = "vectorized",
-        checksum: bool = False,
-        workers: int | None = None,
-        backend: str = "thread",
-        **deprecated,
-    ):
-        if deprecated:
-            unknown = set(deprecated) - set(_DEPRECATED_ALIASES)
-            if unknown:
-                raise TypeError(
-                    "CodecConfig() got unexpected keyword argument(s) "
-                    f"{sorted(unknown)}"
-                )
-            folded = _fold_aliases(dict(deprecated))
-            if "workers" in folded:
-                if workers is not None:
-                    raise TypeError(
-                        "pass either workers= or its deprecated alias, "
-                        "not both"
-                    )
-                workers = folded["workers"]
-            if "err_bound" in folded:
-                if err_bound is not None:
-                    raise TypeError(
-                        "pass either err_bound= or its deprecated alias "
-                        "error_bound=, not both"
-                    )
-                err_bound = folded["err_bound"]
-        object.__setattr__(self, "err_bound", err_bound)
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "block_size", block_size)
-        object.__setattr__(self, "engine", engine)
-        object.__setattr__(self, "checksum", checksum)
-        object.__setattr__(self, "workers", 1 if workers is None else workers)
-        object.__setattr__(self, "backend", backend)
-        self.__post_init__()
 
     def __post_init__(self):
         if self.err_bound is not None and (
@@ -151,10 +73,6 @@ class CodecConfig:
             )
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if self.engine not in _ENGINES:
-            raise ValueError(
-                f"engine must be one of {_ENGINES}, got {self.engine!r}"
-            )
         if not isinstance(self.block_size, int) or isinstance(self.block_size, bool):
             raise ValueError(f"block_size must be an int, got {self.block_size!r}")
         if not isinstance(self.workers, int) or isinstance(self.workers, bool) \
@@ -167,22 +85,9 @@ class CodecConfig:
                 f"backend must be one of {BACKENDS}, got {self.backend!r}"
             )
 
-    @property
-    def threads(self) -> int:
-        """Deprecated name for :attr:`workers`."""
-        warnings.warn(
-            "CodecConfig.threads is deprecated; use CodecConfig.workers",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.workers
-
     def replace(self, **changes) -> "CodecConfig":
-        """A copy with *changes* applied (re-validated).
-
-        Accepts the same deprecated aliases as the constructor.
-        """
-        return dataclasses.replace(self, **_fold_aliases(changes))
+        """A copy with *changes* applied (re-validated)."""
+        return dataclasses.replace(self, **changes)
 
 
 class SZxCodec:
@@ -211,7 +116,7 @@ class SZxCodec:
         arr = np.asarray(data)
         with observe.span(
             "szx.compress", bytes_in=int(arr.nbytes),
-            engine=cfg.engine, workers=cfg.workers, backend=cfg.backend,
+            workers=cfg.workers, backend=cfg.backend,
         ) as sp:
             if cfg.workers > 1 and resolve_backend(cfg.backend) == "process":
                 from .parallel.procpool import compress_components_procpool
@@ -236,14 +141,11 @@ class SZxCodec:
                     checksum=cfg.checksum,
                 )
             else:
-                from .core.api import compress_components
-
                 components = compress_components(
                     arr,
                     cfg.err_bound,
                     mode=cfg.mode,
                     block_size=cfg.block_size,
-                    engine=cfg.engine,
                     checksum=cfg.checksum,
                 )
             out = components.to_bytes()
@@ -256,35 +158,21 @@ class SZxCodec:
         stream = bytes(stream)
         with observe.span(
             "szx.decompress", bytes_in=len(stream),
-            engine=cfg.engine, workers=cfg.workers, backend=cfg.backend,
+            workers=cfg.workers, backend=cfg.backend,
         ) as sp:
             if cfg.workers > 1 and resolve_backend(cfg.backend) == "process":
-                from .core.stream import parse_stream
                 from .parallel.procpool import decompress_components_procpool
 
                 out = decompress_components_procpool(
                     parse_stream(stream), n_procs=cfg.workers
                 )
             elif cfg.workers > 1:
-                from .core.stream import parse_stream
                 from .parallel.omp import decompress_components_parallel
 
                 out = decompress_components_parallel(
                     parse_stream(stream), workers=cfg.workers
                 )
             else:
-                from .core.stream import parse_stream
-
-                components = parse_stream(stream)
-                if cfg.engine == "scalar":
-                    from .core.scalar import decompress_scalar
-
-                    with observe.span("engine.scalar.decompress"):
-                        out = decompress_scalar(components)
-                else:
-                    from .core.kernels import decompress_blocks
-
-                    with observe.span("engine.vectorized.decompress"):
-                        out = decompress_blocks(components)
+                out = decompress_blocks(parse_stream(stream))
             sp.set(bytes_out=int(out.nbytes))
         return out

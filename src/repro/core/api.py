@@ -6,12 +6,9 @@ Two error-bound modes (Section 3 / footnote 1 of the paper):
 * ``mode="rel"`` — *err_bound* is a value-range-based relative bound and
   the absolute bound applied is ``err_bound * (max(D) - min(D))``.
 
-Engines:
-
-* ``engine="vectorized"`` (default) — production numpy engine;
-* ``engine="scalar"`` — the readable reference implementation.
-
-Both produce byte-identical streams.
+Compression runs through the fused-kernel chain of
+:mod:`repro.core.kernels`; :mod:`repro.core.scalar` is its test oracle,
+not a runtime option.
 
 :func:`compress`/:func:`decompress` are thin wrappers over
 :class:`repro.codec.SZxCodec` — the class API and these functions emit
@@ -26,10 +23,10 @@ import numpy as np
 
 from .. import observe
 from .constants import DEFAULT_BLOCK_SIZE, traits_for
+from .kernels import compress_blocks
 from .stream import StreamComponents, parse_stream
 
 _MODES = ("abs", "rel")
-_ENGINES = ("vectorized", "scalar")
 
 
 @dataclass(frozen=True)
@@ -108,7 +105,6 @@ def compress_components(
     *,
     mode: str = "abs",
     block_size: int = DEFAULT_BLOCK_SIZE,
-    engine: str = "vectorized",
     checksum: bool = False,
 ) -> StreamComponents:
     """Compress *data* and return unserialized stream components.
@@ -117,24 +113,12 @@ def compress_components(
     ``bound`` field, so callers can see the absolute bound actually
     applied (and whether a REL bound degraded on empty/constant input).
     """
-    if engine not in _ENGINES:
-        raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
     arr = _check_input(data)
     with observe.span("resolve_bound"):
         resolution = resolve_error_bound_info(arr, err_bound, mode)
-    abs_bound = resolution.abs_bound
-    if engine == "scalar":
-        from .scalar import compress_scalar
-
-        with observe.span("engine.scalar.compress", bytes_in=int(arr.nbytes)):
-            components = compress_scalar(arr, abs_bound, block_size, checksum=checksum)
-    else:
-        from .kernels import compress_blocks
-
-        with observe.span("engine.vectorized.compress", bytes_in=int(arr.nbytes)):
-            components = compress_blocks(
-                arr, abs_bound, block_size, checksum=checksum
-            )
+    components = compress_blocks(
+        arr, resolution.abs_bound, block_size, checksum=checksum
+    )
     components.bound = resolution
     return components
 
@@ -145,7 +129,6 @@ def compress(
     *,
     mode: str = "abs",
     block_size: int = DEFAULT_BLOCK_SIZE,
-    engine: str = "vectorized",
     checksum: bool = False,
 ) -> bytes:
     """Compress *data* into an SZx byte stream.
@@ -160,8 +143,6 @@ def compress(
         ``"abs"`` (absolute) or ``"rel"`` (value-range-based relative).
     block_size:
         Values per block; the paper's default/best setting is 128.
-    engine:
-        ``"vectorized"`` or ``"scalar"``.
     checksum:
         When true, append a CRC32 integrity footer (flagged in the
         header) so any later corruption of the stream — including of
@@ -175,13 +156,12 @@ def compress(
             err_bound=err_bound,
             mode=mode,
             block_size=block_size,
-            engine=engine,
             checksum=checksum,
         )
     ).compress(data)
 
 
-def decompress(stream: bytes, *, engine: str = "vectorized") -> np.ndarray:
+def decompress(stream: bytes) -> np.ndarray:
     """Reconstruct the array from an SZx byte *stream*.
 
     The returned array has the dtype and shape recorded in the header
@@ -192,7 +172,7 @@ def decompress(stream: bytes, *, engine: str = "vectorized") -> np.ndarray:
     """
     from ..codec import CodecConfig, SZxCodec
 
-    return SZxCodec(CodecConfig(engine=engine)).decompress(stream)
+    return SZxCodec().decompress(stream)
 
 
 def compression_ratio(data: np.ndarray, stream: bytes) -> float:

@@ -9,8 +9,8 @@ the process pool (:mod:`repro.parallel.procpool`), the micro-batcher, and
 * **Fused batch passes.**  One pass over a ``(m, block_size)`` batch
   computes the normalized words, truncation shift, leading-XOR codes and
   per-value mid-byte counts together, instead of the separate array
-  sweeps (and their temporaries) the old ``core.vectorized`` engine
-  made.  The leading-byte count uses threshold comparisons on the XOR
+  sweeps (and their temporaries) an unfused numpy encoder would
+  make.  The leading-byte count uses threshold comparisons on the XOR
   words directly (``xor < 2^(8k)`` ⇔ at least ``n-k`` identical leading
   bytes), and mid-bytes are emitted per ``(lead, nbytes)`` *class run*
   with integer-gather ``take`` calls — ~4× faster than the boolean-mask

@@ -1,9 +1,10 @@
 """Readable scalar reference implementation of the SZx codec.
 
 This engine follows Algorithm 1 of the paper line by line, one block and
-one value at a time.  It is deliberately slow and obvious: the vectorized
-engine (:mod:`repro.core.vectorized`) is tested to produce *byte-identical*
-streams, so this module doubles as the format's executable specification.
+one value at a time.  It is deliberately slow and obvious: the
+fused-kernel chain (:mod:`repro.core.kernels`) is tested to produce
+*byte-identical* streams, so this module doubles as the format's
+executable specification and the test oracle.
 """
 # analyze: hot-path — float32-exact SZx kernel; no silent float64 upcasts
 

@@ -1,6 +1,6 @@
 """Named fixed-seed benchmark suites recorded into the perf ledger.
 
-A suite is a list of workload cells (dataset x bound x engine x
+A suite is a list of workload cells (dataset x bound x workers x
 operation) small enough to run in CI yet covering the kernels the
 paper's claim rests on.  Everything is deterministic in ``seed``: the
 synthetic fields, the codec configuration, and therefore the
@@ -28,15 +28,15 @@ def _smoke_cells():
     """
     bs = 128  # DEFAULT_BLOCK_SIZE, spelled out so cells stay explicit
     return [
-        # (case stem, field kind, shape, rel, engine, workers, backend, block_size)
-        ("grf", "grf", (64, 64, 64), 1e-3, "vectorized", 1, "thread", bs),
-        ("wave", "wave", (64, 64, 64), 1e-3, "vectorized", 1, "thread", bs),
-        ("grf-tight", "grf", (64, 64, 64), 1e-4, "vectorized", 1, "thread", bs),
-        ("grf-bs32", "grf", (64, 64, 64), 1e-3, "vectorized", 1, "thread", 32),
-        ("grf-f64", "grf64", (48, 48, 48), 1e-3, "vectorized", 1, "thread", bs),
-        ("grf-omp2", "grf", (64, 64, 64), 1e-3, "vectorized", 2, "thread", bs),
-        ("grf-proc2", "grf", (64, 64, 64), 1e-3, "vectorized", 2, "process", bs),
-        ("grf-proc4", "grf", (64, 64, 64), 1e-3, "vectorized", 4, "process", bs),
+        # (case stem, field kind, shape, rel, workers, backend, block_size)
+        ("grf", "grf", (64, 64, 64), 1e-3, 1, "thread", bs),
+        ("wave", "wave", (64, 64, 64), 1e-3, 1, "thread", bs),
+        ("grf-tight", "grf", (64, 64, 64), 1e-4, 1, "thread", bs),
+        ("grf-bs32", "grf", (64, 64, 64), 1e-3, 1, "thread", 32),
+        ("grf-f64", "grf64", (48, 48, 48), 1e-3, 1, "thread", bs),
+        ("grf-omp2", "grf", (64, 64, 64), 1e-3, 2, "thread", bs),
+        ("grf-proc2", "grf", (64, 64, 64), 1e-3, 2, "process", bs),
+        ("grf-proc4", "grf", (64, 64, 64), 1e-3, 4, "process", bs),
     ]
 
 
@@ -103,11 +103,11 @@ def run_suite(
 
     # -- set up every cell, warm up once (lazy imports, dispatch) --------
     cells = []
-    for case_stem, kind, shape, rel, engine, workers, backend, bs in SUITES[name]():
+    for case_stem, kind, shape, rel, workers, backend, bs in SUITES[name]():
         data = _make_field(kind, shape, seed)
         cfg = CodecConfig(
             err_bound=rel, mode="rel", block_size=bs,
-            engine=engine, workers=workers, backend=backend,
+            workers=workers, backend=backend,
         )
         codec = SZxCodec(cfg)
 
@@ -124,7 +124,7 @@ def run_suite(
         recon = codec.decompress(stream)
         assert recon.size == data.size
         cells.append({
-            "stem": case_stem, "kind": kind, "rel": rel, "engine": engine,
+            "stem": case_stem, "kind": kind, "rel": rel,
             "workers": workers, "backend": backend, "block_size": bs,
             "data": data, "codec": codec,
             "compress": _compress, "stream": stream,
@@ -148,7 +148,7 @@ def run_suite(
             suite=name, dataset=cell["kind"], dtype=str(data.dtype),
             shape=data.shape, n_values=int(data.size),
             err_bound=cell["rel"], mode="rel", block_size=cell["block_size"],
-            engine=cell["engine"], threads=cell["workers"],
+            threads=cell["workers"],
             backend=cell["backend"], seed=seed,
         )
 

@@ -26,19 +26,12 @@ from .backends import (
     shared_memory_available,
 )
 from .chunking import chunk_block_ranges
-from .omp import (
-    omp_compress,
-    omp_decompress,
-    resolve_thread_count,
-    resolve_worker_count,
-)
+from .omp import resolve_worker_count
 from .procpool import (
     KILL_SITE,
     ProcPool,
     WorkerCrashError,
     default_pool,
-    procpool_compress,
-    procpool_decompress,
     shutdown_default_pools,
 )
 
@@ -48,16 +41,11 @@ __all__ = [
     "UnknownBackendError",
     "resolve_backend",
     "shared_memory_available",
-    "omp_compress",
-    "omp_decompress",
-    "resolve_thread_count",
     "resolve_worker_count",
     "chunk_block_ranges",
     "KILL_SITE",
     "ProcPool",
     "WorkerCrashError",
     "default_pool",
-    "procpool_compress",
-    "procpool_decompress",
     "shutdown_default_pools",
 ]

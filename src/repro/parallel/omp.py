@@ -15,17 +15,13 @@ inherits single-stream kernel speedups for free.  The pool logic lives
 in :func:`compress_components_parallel` /
 :func:`decompress_components_parallel`, with one tracing span per worker
 (``worker[i]``) so ``szx compress --trace`` shows the per-thread split.
-
-The historical byte-level entry points :func:`omp_compress` /
-:func:`omp_decompress` are deprecated shims over
-:class:`repro.codec.SZxCodec` with ``workers > 1`` — use the codec (or
-``repro.compress``) directly.
+:class:`repro.codec.SZxCodec` reaches this pool for ``workers > 1`` on
+the ``"thread"`` backend.
 """
 
 from __future__ import annotations
 
 import os
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -70,42 +66,17 @@ def resolve_worker_count(workers, backend=None) -> int:
     return min(workers, os.cpu_count() or 1)
 
 
-def resolve_thread_count(n_threads, backend=None) -> int:
-    """Deprecated name for :func:`resolve_worker_count`."""
-    warnings.warn(
-        "resolve_thread_count() is deprecated; use resolve_worker_count()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return resolve_worker_count(n_threads, backend)
-
-
-def _workers_from(workers, n_threads, default):
-    """Fold the deprecated ``n_threads`` alias into ``workers``."""
-    if n_threads is not None:
-        if workers is not None:
-            raise TypeError("pass either workers= or n_threads=, not both")
-        warnings.warn(
-            "the n_threads= parameter is deprecated; use workers=",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return n_threads
-    return default if workers is None else workers
-
-
 def compress_components_parallel(
     data: np.ndarray,
     err_bound: float,
     *,
     mode: str = "abs",
     block_size: int = DEFAULT_BLOCK_SIZE,
-    workers: int | None = None,
-    n_threads: int | None = None,
+    workers: int,
     checksum: bool = False,
 ) -> StreamComponents:
     """Parallel SZx compression to merged (byte-identical) components."""
-    workers = resolve_worker_count(_workers_from(workers, n_threads, 4))
+    workers = resolve_worker_count(workers)
     arr = _check_input(data)
     block_size = validate_block_size(block_size)
     resolution = resolve_error_bound_info(arr, err_bound, mode)
@@ -158,47 +129,13 @@ def compress_components_parallel(
     return merged
 
 
-def omp_compress(
-    data: np.ndarray,
-    err_bound: float,
-    *,
-    mode: str = "abs",
-    block_size: int = DEFAULT_BLOCK_SIZE,
-    n_threads: int = 4,
-    checksum: bool = False,
-) -> bytes:
-    """Deprecated: use ``SZxCodec(CodecConfig(workers=...))`` instead.
-
-    Byte-identical to the codec path by construction (it *is* the codec
-    path).
-    """
-    warnings.warn(
-        "omp_compress() is deprecated; use "
-        "SZxCodec(CodecConfig(workers=...)).compress() or repro.compress",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from ..codec import CodecConfig, SZxCodec
-
-    return SZxCodec(
-        CodecConfig(
-            err_bound=err_bound,
-            mode=mode,
-            block_size=block_size,
-            checksum=checksum,
-            workers=resolve_worker_count(n_threads),
-        )
-    ).compress(data)
-
-
 def decompress_components_parallel(
     comp: StreamComponents,
     *,
-    workers: int | None = None,
-    n_threads: int | None = None,
+    workers: int,
 ) -> np.ndarray:
     """Parallel decode of parsed *comp* using the zsize prefix sum."""
-    workers = resolve_worker_count(_workers_from(workers, n_threads, 4))
+    workers = resolve_worker_count(workers)
     header = comp.header
     if header.n_blocks == 0 or workers <= 1:
         return decompress_blocks(comp)
@@ -247,18 +184,3 @@ def decompress_components_parallel(
     if header.shape:
         return out.reshape(header.shape)
     return out
-
-
-def omp_decompress(stream: bytes, *, n_threads: int = 4) -> np.ndarray:
-    """Deprecated: use ``SZxCodec(CodecConfig(workers=...))`` instead."""
-    warnings.warn(
-        "omp_decompress() is deprecated; use "
-        "SZxCodec(CodecConfig(workers=...)).decompress() or repro.decompress",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from ..codec import CodecConfig, SZxCodec
-
-    return SZxCodec(
-        CodecConfig(workers=resolve_worker_count(n_threads))
-    ).decompress(stream)

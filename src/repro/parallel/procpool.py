@@ -15,7 +15,7 @@ This module is the same Section 6.1 decomposition across *processes*:
 * the parent stitches the per-worker sections exactly like the thread
   merge — the ``zsize_array`` prefix sum gives every decompression
   worker its payload start offset — so the assembled stream is
-  **byte-identical** to the single-thread engines (enforced by
+  **byte-identical** to the serial path (enforced by
   ``tests/parallel/test_backend_differential.py``);
 * a worker death (OOM kill, segfault, injected
   :func:`repro.testing.faults.claim_kill` token) surfaces as
@@ -52,7 +52,6 @@ from ..core.stream import (
     payload_prefix_size,
 )
 from ..core.kernels import compress_blocks, decompress_blocks
-from .backends import resolve_backend
 from .chunking import chunk_block_ranges
 
 # NOTE: repro.testing imports repro.parallel (the fuzz oracles exercise
@@ -428,7 +427,7 @@ def compress_components_procpool(
     its payload into a disjoint slice of a shared output arena.  The
     merge step is identical to the thread backend's, so the stream that
     :meth:`StreamComponents.to_bytes` assembles matches the serial
-    engines byte for byte.
+    path byte for byte.
     """
     from .omp import resolve_worker_count
 
@@ -592,52 +591,3 @@ def decompress_components_procpool(
     if header.shape:
         return out.reshape(header.shape)
     return out
-
-
-def procpool_compress(
-    data: np.ndarray,
-    err_bound: float,
-    *,
-    mode: str = "abs",
-    block_size: int = DEFAULT_BLOCK_SIZE,
-    n_procs: int = 4,
-    checksum: bool = False,
-) -> bytes:
-    """Deprecated: use ``SZxCodec(CodecConfig(workers=..., backend="process"))``."""
-    import warnings
-
-    warnings.warn(
-        "procpool_compress() is deprecated; use "
-        'SZxCodec(CodecConfig(workers=..., backend="process")).compress()',
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from ..codec import CodecConfig, SZxCodec
-
-    return SZxCodec(
-        CodecConfig(
-            err_bound=err_bound,
-            mode=mode,
-            block_size=block_size,
-            checksum=checksum,
-            workers=n_procs,
-            backend=resolve_backend("process"),
-        )
-    ).compress(data)
-
-
-def procpool_decompress(stream: bytes, *, n_procs: int = 4) -> np.ndarray:
-    """Deprecated: use ``SZxCodec(CodecConfig(workers=..., backend="process"))``."""
-    import warnings
-
-    warnings.warn(
-        "procpool_decompress() is deprecated; use "
-        'SZxCodec(CodecConfig(workers=..., backend="process")).decompress()',
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from ..codec import CodecConfig, SZxCodec
-
-    return SZxCodec(
-        CodecConfig(workers=n_procs, backend=resolve_backend("process"))
-    ).decompress(stream)

@@ -1,23 +1,23 @@
-"""Micro-batching: coalesce small compress jobs into one engine call.
+"""Micro-batching: coalesce small compress jobs into one kernel call.
 
 Python-side per-call overhead (bound resolution, header assembly,
 section packing) dominates for small arrays, so the service groups
 compatible jobs that arrive within a short window and compresses their
-*concatenation* with a single ``compress_vectorized`` call.  Because
-SZx blocks are encoded independently under a fixed absolute bound, the
-concatenated components split back into per-job streams that are
-**byte-identical** to compressing each job alone — the same property
-the OpenMP merge in :mod:`repro.parallel.omp` exploits in the other
-direction.
+*concatenation* with a single :func:`~repro.core.kernels.compress_blocks`
+call.  Because SZx blocks are encoded independently under a fixed
+absolute bound, the concatenated components split back into per-job
+streams that are **byte-identical** to compressing each job alone — the
+same property the OpenMP merge in :mod:`repro.parallel.omp` exploits in
+the other direction.
 
 Compatibility (the *batch key*): same resolved absolute bound, block
-size, and dtype, vectorized engine.  REL bounds are resolved per job at
-submit time, so two REL jobs batch only when their resolved absolute
-bounds coincide.  A job whose length is not a multiple of the block
-size would fuse its partial tail block with the next job's first
-values, so such a job is admitted only as the *last* member — it seals
-its batch.  Checksums are per-job footers over the assembled stream and
-therefore do not fragment batches.
+size, and dtype.  REL bounds are resolved per job at submit time, so
+two REL jobs batch only when their resolved absolute bounds coincide.
+A job whose length is not a multiple of the block size would fuse its
+partial tail block with the next job's first values, so such a job is
+admitted only as the *last* member — it seals its batch.  Checksums are
+per-job footers over the assembled stream and therefore do not
+fragment batches.
 """
 
 from __future__ import annotations
@@ -42,16 +42,12 @@ def batch_key(job):
 
 
 def is_batchable(job) -> bool:
-    """Only non-empty vectorized-engine compress jobs coalesce."""
-    return (
-        job.kind == "compress"
-        and job.engine == "vectorized"
-        and job.array.size > 0
-    )
+    """Only non-empty compress jobs coalesce."""
+    return job.kind == "compress" and job.array.size > 0
 
 
 def compress_batch(jobs) -> list[bytes]:
-    """One engine call for all *jobs*; per-job byte-identical streams.
+    """One kernel call for all *jobs*; per-job byte-identical streams.
 
     Every job except possibly the last must be block-aligned (enforced
     by :class:`MicroBatcher`); all must share the same batch key.

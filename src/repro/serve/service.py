@@ -80,7 +80,6 @@ class _Job:
     array: np.ndarray | None = None
     abs_bound: float = 0.0
     block_size: int = 0
-    engine: str = "vectorized"
     checksum: bool = False
     # decompress fields:
     payload: bytes = b""
@@ -125,7 +124,7 @@ class CompressionService:
         The backpressure policy (see module docstring).
     batching, batch_window_s, batch_max_jobs, batch_max_values:
         Micro-batching controls; ``batching=False`` gives the
-        one-engine-call-per-job baseline on the same pool.
+        one-kernel-call-per-job baseline on the same pool.
     max_retries, retry_backoff_s:
         Transient-fault retry budget and base backoff (exponential,
         jittered to half–1.5× to avoid retry stampedes).
@@ -289,7 +288,6 @@ class CompressionService:
             array=arr,
             abs_bound=resolution.abs_bound,
             block_size=block_size,
-            engine=config.engine,
             checksum=config.checksum,
             parent_span=self._parent_span(parent_span),
             timeline=timeline,
@@ -430,7 +428,7 @@ class CompressionService:
         finally:
             self._slots.release()
 
-    def _procpool_compress(self, job: _Job) -> bytes:
+    def _compress_on_procpool(self, job: _Job) -> bytes:
         from ..parallel.procpool import compress_components_procpool
 
         try:
@@ -448,7 +446,7 @@ class CompressionService:
             # service retry loop may safely re-run it on the fresh pool.
             raise TransientError(str(exc)) from exc
 
-    def _procpool_decompress(self, job: _Job):
+    def _decompress_on_procpool(self, job: _Job):
         from ..core.stream import parse_stream
         from ..parallel.procpool import decompress_components_procpool
 
@@ -470,7 +468,7 @@ class CompressionService:
                 if job.kind == "compress":
                     if use_procs:
                         result = self._with_retries(
-                            lambda: self._procpool_compress(job),
+                            lambda: self._compress_on_procpool(job),
                             "serve.worker.compress",
                         )
                     else:
@@ -479,7 +477,6 @@ class CompressionService:
                                 err_bound=job.abs_bound,
                                 mode="abs",
                                 block_size=job.block_size,
-                                engine=job.engine,
                                 checksum=job.checksum,
                             )
                         )
@@ -489,7 +486,7 @@ class CompressionService:
                         )
                 elif use_procs:
                     result = self._with_retries(
-                        lambda: self._procpool_decompress(job),
+                        lambda: self._decompress_on_procpool(job),
                         "serve.worker.decompress",
                     )
                 else:

@@ -1,4 +1,4 @@
-"""Differential fuzzing harness for the SZx engines.
+"""Differential fuzzing harness for the SZx codec.
 
 Three layers, composable or driven end to end by :func:`run_fuzz`:
 
@@ -10,9 +10,9 @@ Three layers, composable or driven end to end by :func:`run_fuzz`:
   (truncation, bit flips, byte rewrites, section swaps) for exercising
   the hardened decode path;
 * :mod:`repro.testing.oracles` — the properties every iteration must
-  satisfy: pointwise error bound, scalar/vectorized/OMP byte identity,
-  cross-engine decode equality, and fail-closed handling of corrupted
-  streams.
+  satisfy: pointwise error bound, scalar/kernel/thread-pool byte
+  identity, decode equality across those paths, and fail-closed
+  handling of corrupted streams.
 
 :mod:`repro.testing.faults` is the deterministic fault-injection
 registry: production code exposes named sites via

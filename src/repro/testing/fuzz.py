@@ -1,11 +1,11 @@
-"""The differential fuzz driver: generators × engines × mutators.
+"""The differential fuzz driver: generators × decode paths × mutators.
 
 One :func:`run_fuzz` iteration:
 
 1. draw a generator, dtype, size, block size and error bound from the
    seeded RNG and synthesize a field;
-2. run the cross-engine round-trip oracle (scalar vs vectorized vs OMP
-   byte identity, decode agreement, pointwise bound);
+2. run the round-trip oracle (scalar reference vs fused kernels vs
+   thread pool byte identity, decode agreement, pointwise bound);
 3. compress the field *with the CRC32 footer*, apply a batch of seeded
    mutations, and check each mutant decodes fail-closed.
 
@@ -34,7 +34,7 @@ _DTYPES = (np.float32, np.float64)
 _BLOCK_SIZES = (1, 7, 64, 128, 1000)
 _BOUNDS = (1e-2, 1e-3, 1e-4, 1e-6)
 _MODES = ("abs", "rel")
-_THREADS = (1, 2, 3, 16)
+_WORKERS = (1, 2, 3, 16)
 
 
 @dataclass
@@ -143,7 +143,7 @@ def run_fuzz(
         n = max(0, min(n, max_n))
         err_bound = _BOUNDS[int(rng.integers(0, len(_BOUNDS)))]
         mode = _MODES[int(rng.integers(0, len(_MODES)))]
-        n_threads = _THREADS[int(rng.integers(0, len(_THREADS)))]
+        workers = _WORKERS[int(rng.integers(0, len(_WORKERS)))]
 
         data = generate_field(gen_name, rng, n, dtype)
         ctx = dict(
@@ -156,7 +156,7 @@ def run_fuzz(
 
         problems = check_round_trip(
             data, err_bound, mode=mode, block_size=block_size,
-            n_threads=n_threads, checksum=bool(rng.integers(0, 2)),
+            workers=workers, checksum=bool(rng.integers(0, 2)),
         )
         for p in problems:
             kind = _classify(p)

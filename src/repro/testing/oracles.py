@@ -5,8 +5,8 @@ Three oracles:
 * :func:`check_error_bound` — the pointwise absolute error of a
   reconstruction never exceeds the bound (the paper's defining
   guarantee, Section 3);
-* :func:`check_round_trip` — the scalar reference, the vectorized
-  engine and the OMP harness emit byte-identical streams, all decode
+* :func:`check_round_trip` — the scalar reference, the fused-kernel
+  chain and the thread pool emit byte-identical streams, all decode
   paths reconstruct identical arrays, and the reconstruction respects
   the bound;
 * :func:`check_mutation` — decoding a corrupted stream either raises
@@ -67,17 +67,16 @@ def check_round_trip(
     *,
     mode: str = "abs",
     block_size: int = 128,
-    n_threads: int = 3,
+    workers: int = 3,
     checksum: bool = False,
 ) -> list:
-    """Cross-engine differential check; returns problem strings."""
+    """Scalar-vs-kernel-vs-pool differential check; returns problem strings."""
     problems = []
     arr = np.asarray(data)
     abs_bound = resolve_error_bound(arr, err_bound, mode)
 
     vec = compress_components(
-        arr, err_bound, mode=mode, block_size=block_size,
-        engine="vectorized", checksum=checksum,
+        arr, err_bound, mode=mode, block_size=block_size, checksum=checksum,
     )
     vec_bytes = vec.to_bytes()
 
@@ -85,7 +84,7 @@ def check_round_trip(
     sca_bytes = sca.to_bytes()
     if sca_bytes != vec_bytes:
         problems.append(
-            "scalar and vectorized streams differ "
+            "scalar and kernel streams differ "
             f"({len(sca_bytes)} vs {len(vec_bytes)} bytes, first diff at "
             f"{_first_diff(sca_bytes, vec_bytes)})"
         )
@@ -94,12 +93,12 @@ def check_round_trip(
 
     omp_codec = SZxCodec(CodecConfig(
         err_bound=err_bound, mode=mode, block_size=block_size,
-        checksum=checksum, workers=n_threads,
+        checksum=checksum, workers=workers,
     ))
     omp_bytes = omp_codec.compress(arr)
     if omp_bytes != vec_bytes:
         problems.append(
-            f"thread-pool (workers={n_threads}) stream differs from "
+            f"thread-pool (workers={workers}) stream differs from "
             f"serial (first diff at {_first_diff(omp_bytes, vec_bytes)})"
         )
 
@@ -112,10 +111,10 @@ def check_round_trip(
     for name, recon in (
         ("scalar", recon_sca),
         ("api", recon_api),
-        (f"omp(workers={n_threads})", recon_omp),
+        (f"omp(workers={workers})", recon_omp),
     ):
         if not _bit_equal(recon, recon_vec):
-            problems.append(f"{name} decode differs from vectorized decode")
+            problems.append(f"{name} decode differs from kernel decode")
 
     problems.extend(check_error_bound(arr, recon_vec, abs_bound))
     return problems

@@ -234,7 +234,7 @@ def analyze_tree_with_mutation(relpath, old, new):
     modules = []
     target = None
     for path in iter_python_files([str(REPO / "src" / "repro")]):
-        source = open(path, encoding="utf-8").read()
+        source = Path(path).read_text(encoding="utf-8")
         rel = str(Path(path).relative_to(REPO)).replace("\\", "/")
         if path == mutated_path:
             assert old in source, f"mutation anchor not found in {rel}"

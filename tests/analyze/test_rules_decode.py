@@ -5,7 +5,7 @@ import textwrap
 from repro.analyze import analyze_source
 
 IN_SCOPE = "src/repro/baselines/sz/codec.py"
-OUT_OF_SCOPE = "src/repro/core/vectorized.py"
+OUT_OF_SCOPE = "src/repro/core/kernels.py"
 HELPER = "src/repro/core/safebytes.py"
 
 

@@ -1,4 +1,4 @@
-"""CodecConfig / SZxCodec: validation, equivalence with the legacy API."""
+"""CodecConfig / SZxCodec: validation, equivalence with the functional API."""
 
 import dataclasses
 
@@ -10,10 +10,15 @@ from repro.core import (
     DEFAULT_BLOCK_SIZE,
     BoundResolution,
     compress_components,
+    parse_stream,
     resolve_error_bound,
     resolve_error_bound_info,
 )
-from repro.parallel import omp_compress, omp_decompress
+from repro.core.scalar import compress_scalar, decompress_scalar
+from repro.parallel.omp import (
+    compress_components_parallel,
+    decompress_components_parallel,
+)
 
 
 def field(n=4096, seed=7, dtype=np.float32):
@@ -32,9 +37,9 @@ class TestCodecConfig:
         assert cfg.err_bound is None
         assert cfg.mode == "abs"
         assert cfg.block_size == DEFAULT_BLOCK_SIZE
-        assert cfg.engine == "vectorized"
         assert cfg.checksum is False
-        assert cfg.threads == 1
+        assert cfg.workers == 1
+        assert cfg.backend == "thread"
 
     def test_frozen(self):
         cfg = CodecConfig(err_bound=1e-3)
@@ -43,9 +48,9 @@ class TestCodecConfig:
 
     def test_replace_revalidates(self):
         cfg = CodecConfig(err_bound=1e-3)
-        cfg2 = cfg.replace(engine="scalar", checksum=True)
-        assert cfg2.engine == "scalar" and cfg2.checksum is True
-        assert cfg.engine == "vectorized"  # original untouched
+        cfg2 = cfg.replace(workers=2, checksum=True)
+        assert cfg2.workers == 2 and cfg2.checksum is True
+        assert cfg.workers == 1 and cfg.checksum is False  # original untouched
         with pytest.raises(ValueError):
             cfg.replace(mode="weird")
 
@@ -58,9 +63,7 @@ class TestCodecConfig:
         with pytest.raises(ValueError):
             CodecConfig(mode="pointwise")
         with pytest.raises(ValueError):
-            CodecConfig(engine="cuda")
-        with pytest.raises(ValueError):
-            CodecConfig(threads=0)
+            CodecConfig(workers=0)
         with pytest.raises(ValueError):
             CodecConfig(block_size=128.0)
 
@@ -84,22 +87,31 @@ class TestCodecConfig:
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("engine", ["vectorized", "scalar"])
+@pytest.mark.parametrize("reference", ["vectorized", "scalar"])
 @pytest.mark.parametrize("mode", ["abs", "rel"])
 @pytest.mark.parametrize("checksum", [False, True])
 class TestEquivalence:
-    def test_streams_byte_identical(self, engine, mode, checksum):
+    """The codec matches the functional API and, on the ``scalar`` leg,
+    the :mod:`repro.core.scalar` oracle called directly."""
+
+    def test_streams_byte_identical(self, reference, mode, checksum):
         data = field(2048)
-        legacy = compress(
-            data, 1e-3, mode=mode, engine=engine, checksum=checksum
-        )
+        functional = compress(data, 1e-3, mode=mode, checksum=checksum)
         codec = SZxCodec(
-            CodecConfig(err_bound=1e-3, mode=mode, engine=engine, checksum=checksum)
+            CodecConfig(err_bound=1e-3, mode=mode, checksum=checksum)
         )
-        assert codec.compress(data) == legacy
-        np.testing.assert_array_equal(
-            codec.decompress(legacy), decompress(legacy, engine=engine)
-        )
+        stream = codec.compress(data)
+        assert stream == functional
+        if reference == "scalar":
+            abs_bound = resolve_error_bound(data, 1e-3, mode)
+            want = compress_scalar(
+                data, abs_bound, DEFAULT_BLOCK_SIZE, checksum=checksum
+            ).to_bytes()
+            recon = decompress_scalar(parse_stream(stream))
+        else:
+            want, recon = functional, decompress(stream)
+        assert stream == want
+        np.testing.assert_array_equal(codec.decompress(stream), recon)
 
 
 class TestThreadedEquivalence:
@@ -107,18 +119,19 @@ class TestThreadedEquivalence:
     def test_parallel_stream_byte_identical_to_serial(self, threads):
         data = field(10_000)
         serial = compress(data, 1e-3)
-        codec = SZxCodec(CodecConfig(err_bound=1e-3, threads=threads))
+        codec = SZxCodec(CodecConfig(err_bound=1e-3, workers=threads))
         stream = codec.compress(data)
         assert stream == serial
         np.testing.assert_array_equal(codec.decompress(stream), decompress(stream))
 
     def test_omp_wrappers_match_codec(self):
         data = field(8192)
-        via_omp = omp_compress(data, 1e-3, n_threads=2)
-        via_codec = SZxCodec(CodecConfig(err_bound=1e-3, threads=2)).compress(data)
+        via_omp = compress_components_parallel(data, 1e-3, workers=2).to_bytes()
+        via_codec = SZxCodec(CodecConfig(err_bound=1e-3, workers=2)).compress(data)
         assert via_omp == via_codec
         np.testing.assert_array_equal(
-            omp_decompress(via_omp, n_threads=2), decompress(via_omp)
+            decompress_components_parallel(parse_stream(via_omp), workers=2),
+            decompress(via_omp),
         )
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.archive import SzxArchive
+from repro.codec import CodecConfig, SZxCodec
 from repro.core import (
     compress,
     compress_extended,
@@ -20,16 +21,20 @@ from repro.core import (
 from repro.core.verify import verify_stream
 from repro.datasets import get_application
 from repro.metrics import assess
-from repro.parallel import omp_compress, omp_decompress
 
 RNG = np.random.default_rng(210)
+
+
+def omp_codec(workers, err_bound=None):
+    """The codec on the thread backend with *workers* pool threads."""
+    return SZxCodec(CodecConfig(err_bound=err_bound, workers=workers))
 
 
 class TestParallelPlusRandomAccess:
     def test_range_reads_from_parallel_stream(self):
         """omp streams are byte-identical, so random access just works."""
         d = np.cumsum(RNG.normal(size=60_000)).astype(np.float32)
-        stream = omp_compress(d, 1e-3, n_threads=4)
+        stream = omp_codec(4, 1e-3).compress(d)
         got = decompress_range(stream, 10_000, 20_000)
         assert np.array_equal(got, decompress(stream)[10_000:20_000])
 
@@ -39,7 +44,7 @@ class TestParallelPlusRandomAccess:
         d = (np.sin(np.linspace(0, 40, 32_000)) * 5).astype(np.float32)
         stream = cuszx_compress_sim(d, 1e-4)
         assert np.array_equal(
-            omp_decompress(stream, n_threads=4), decompress(stream)
+            omp_codec(4).decompress(stream), decompress(stream)
         )
 
 
@@ -50,7 +55,7 @@ class TestVerifierOnAllProducers:
         if producer == "serial":
             stream = compress(d, 1e-3)
         elif producer == "omp":
-            stream = omp_compress(d, 1e-3, n_threads=3)
+            stream = omp_codec(3, 1e-3).compress(d)
         else:
             from repro.gpusim import cuszx_compress_sim
 

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.core.api import compress, decompress
+from repro.core.api import compress, decompress, resolve_error_bound
+from repro.core.scalar import compress_scalar, decompress_scalar
+from repro.core.stream import parse_stream
 
 finite_f32 = st.floats(
     min_value=-9.999999933815813e36,
@@ -46,9 +48,8 @@ def test_error_bound_f64(data, err, bs):
 @settings(max_examples=60, deadline=None)
 @given(data=arrays_f32, err=bounds, bs=block_sizes)
 def test_engines_byte_identical(data, err, bs):
-    assert compress(data, err, block_size=bs, engine="scalar") == compress(
-        data, err, block_size=bs, engine="vectorized"
-    )
+    oracle = compress_scalar(data, err, bs).to_bytes()
+    assert oracle == compress(data, err, block_size=bs)
 
 
 @settings(max_examples=60, deadline=None)
@@ -56,7 +57,7 @@ def test_engines_byte_identical(data, err, bs):
 def test_decoders_agree(data, err, bs):
     stream = compress(data, err, block_size=bs)
     assert np.array_equal(
-        decompress(stream, engine="scalar"), decompress(stream, engine="vectorized")
+        decompress_scalar(parse_stream(stream)), decompress(stream)
     )
 
 
@@ -130,22 +131,20 @@ def _sweep_sizes(bs):
     "mode,err", [("abs", 1e-3), ("abs", 1e-6), ("rel", 1e-3)]
 )
 def test_round_trip_sweep(dtype, bs, mode, err):
-    from repro.core.api import resolve_error_bound
-
     for n in _sweep_sizes(bs):
         data = _sweep_field(dtype, n)
-        vec = compress(data, err, mode=mode, block_size=bs, engine="vectorized")
-        sca = compress(data, err, mode=mode, block_size=bs, engine="scalar")
-        assert sca == vec, f"engines diverge at n={n}"
+        abs_bound = resolve_error_bound(data, err, mode)
+        vec = compress(data, err, mode=mode, block_size=bs)
+        sca = compress_scalar(data, abs_bound, bs).to_bytes()
+        assert sca == vec, f"scalar oracle diverges at n={n}"
         recon = decompress(vec)
         assert recon.dtype == np.dtype(dtype) and recon.size == n
         if n:
-            abs_bound = resolve_error_bound(data, err, mode)
             worst = np.abs(
                 data.astype(np.float64) - recon.astype(np.float64)
             ).max()
             assert worst <= abs_bound, f"bound violated at n={n}"
-        assert np.array_equal(decompress(vec, engine="scalar"), recon)
+        assert np.array_equal(decompress_scalar(parse_stream(vec)), recon)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -1,9 +1,12 @@
-"""Roundtrip and error-bound tests for both SZx engines."""
+"""Roundtrip and error-bound tests for the codec and the scalar oracle."""
 
 import numpy as np
 import pytest
 
 from repro.core.api import compress, compression_ratio, decompress
+from repro.core.constants import DEFAULT_BLOCK_SIZE
+from repro.core.scalar import compress_scalar, decompress_scalar
+from repro.core.stream import parse_stream
 
 RNG = np.random.default_rng(10)
 
@@ -22,36 +25,55 @@ def fields():
     yield "mixed-sign-steps", np.repeat(RNG.normal(0, 100, n // 10), 10)
 
 
-@pytest.mark.parametrize("engine", ["scalar", "vectorized"])
+def _scalar_compress(d, err, block_size=DEFAULT_BLOCK_SIZE):
+    return compress_scalar(d, err, block_size).to_bytes()
+
+
+def _scalar_decompress(stream):
+    return decompress_scalar(parse_stream(stream))
+
+
+#: (compress, decompress) per path; every bound below is absolute.
+PATHS = {
+    "scalar": (_scalar_compress, _scalar_decompress),
+    "vectorized": (compress, decompress),
+}
+
+
+@pytest.mark.parametrize("path", ["scalar", "vectorized"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
 class TestErrorBound:
     @pytest.mark.parametrize("name,data", list(fields()))
     @pytest.mark.parametrize("err", [1e-1, 1e-3])
-    def test_bound_respected(self, engine, dtype, name, data, err):
+    def test_bound_respected(self, path, dtype, name, data, err):
+        comp, deco = PATHS[path]
         d = data.astype(dtype)
-        stream = compress(d, err, engine=engine, block_size=32)
-        r = decompress(stream, engine=engine)
+        r = deco(comp(d, err, block_size=32))
         assert np.abs(d.astype(np.float64) - r.astype(np.float64)).max() <= err
 
-    def test_shape_restored(self, engine, dtype):
+    def test_shape_restored(self, path, dtype):
+        comp, deco = PATHS[path]
         d = RNG.normal(size=(7, 9, 11)).astype(dtype)
-        r = decompress(compress(d, 1e-2, engine=engine))
+        r = deco(comp(d, 1e-2))
         assert r.shape == d.shape
         assert r.dtype == d.dtype
 
-    def test_empty_array(self, engine, dtype):
+    def test_empty_array(self, path, dtype):
+        comp, deco = PATHS[path]
         d = np.empty(0, dtype=dtype)
-        r = decompress(compress(d, 1e-2, engine=engine))
+        r = deco(comp(d, 1e-2))
         assert r.size == 0
 
-    def test_single_value(self, engine, dtype):
+    def test_single_value(self, path, dtype):
+        comp, deco = PATHS[path]
         d = np.array([123.456], dtype=dtype)
-        r = decompress(compress(d, 1e-3, engine=engine))
+        r = deco(comp(d, 1e-3))
         assert abs(float(d[0]) - float(r[0])) <= 1e-3
 
-    def test_block_size_one(self, engine, dtype):
+    def test_block_size_one(self, path, dtype):
+        comp, deco = PATHS[path]
         d = RNG.normal(size=50).astype(dtype)
-        r = decompress(compress(d, 1e-2, engine=engine, block_size=1))
+        r = deco(comp(d, 1e-2, block_size=1))
         assert np.abs(d - r).max() <= 1e-2
 
 
@@ -103,8 +125,11 @@ class TestApiValidation:
             compress(np.ones(10, np.float32), 1e-3, mode="pointwise")
 
     def test_rejects_unknown_engine(self):
-        with pytest.raises(ValueError, match="engine"):
+        # There is no engine option: the fused kernels are the only engine.
+        with pytest.raises(TypeError, match="engine"):
             compress(np.ones(10, np.float32), 1e-3, engine="gpu")
+        with pytest.raises(TypeError, match="engine"):
+            decompress(compress(np.ones(10, np.float32), 1e-3), engine="gpu")
 
     def test_compression_ratio_helper(self):
         d = np.full(10000, 1.0, dtype=np.float32)

@@ -4,7 +4,7 @@ The contract under test: decoding any truncated or single-byte-corrupted
 stream either raises :class:`StreamFormatError` (with a section name) or
 reproduces the intact reconstruction exactly — no raw ``struct.error``,
 ``IndexError`` or numpy ``ValueError`` ever escapes ``parse_stream``,
-``decompress``, ``omp_decompress`` or the scalar decoder.
+``decompress``, the thread-pool codec or the scalar decoder.
 """
 
 import numpy as np
@@ -19,8 +19,8 @@ from repro.core import (
     decompress,
     parse_stream,
 )
+from repro.codec import CodecConfig, SZxCodec
 from repro.core.scalar import decompress_scalar
-from repro.parallel.omp import omp_decompress
 from repro.testing.mutators import stream_layout
 
 RNG = np.random.default_rng(20260806)
@@ -36,7 +36,7 @@ def _decoders():
     return [
         ("decompress", decompress),
         ("scalar", lambda s: decompress_scalar(parse_stream(s))),
-        ("omp", lambda s: omp_decompress(s, n_threads=3)),
+        ("omp", SZxCodec(CodecConfig(workers=3)).decompress),
     ]
 
 

@@ -1,4 +1,4 @@
-"""White-box tests of the vectorized engine's internal kernels."""
+"""White-box tests of the fused-kernel chain's packing internals."""
 
 import numpy as np
 import pytest
@@ -6,10 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.bits import leading_identical_bytes
 from repro.core.constants import FLOAT32, FLOAT64
-from repro.core.vectorized import (
+from repro.core.kernels import (
     _leading_counts_matrix,
     _pack_lead_rows,
     _unpack_lead_rows,
+    decode_batch,
+    encode_batch,
 )
 
 RNG = np.random.default_rng(180)
@@ -73,18 +75,14 @@ class TestLeadingCountsMatrix:
 
 class TestEncodeDecodeEmpty:
     def test_no_nonconstant_blocks(self):
-        from repro.core.vectorized import _encode_full_blocks
-
         body = np.empty((0, 128), dtype=np.float32)
-        payload, zsizes = _encode_full_blocks(
+        payload, zsizes = encode_batch(
             body, np.empty(0, np.float32), np.empty(0), 1e-3, FLOAT32
         )
         assert payload == b"" and zsizes.size == 0
 
     def test_decode_no_blocks(self):
-        from repro.core.vectorized import _decode_full_blocks
-
-        out = _decode_full_blocks(
+        out = decode_batch(
             np.empty(0, np.uint8), np.empty(0, np.int64), 128, FLOAT32
         )
         assert out.shape == (0, 128)

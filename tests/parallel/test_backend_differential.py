@@ -1,25 +1,23 @@
 """Cross-backend differential suite: every execution path, same bytes.
 
-The repo's central compatibility claim is that the scalar reference,
-the vectorized engine, the thread pool, and the shared-memory process
-pool are interchangeable: same stream bytes out of compression, same
-array out of decompression, same typed rejection of invalid input.
-This suite states that claim as a grid — for every (dtype, bound mode,
-block size, worker count) cell all four paths must agree exactly — plus
-the awkward inputs where merges historically diverge (empty arrays,
-all-constant fields, non-block-multiple lengths).
+The repo's central compatibility claim is that the serial fused-kernel
+path, the thread pool, and the shared-memory process pool are
+interchangeable — and byte-identical to the scalar reference
+(:mod:`repro.core.scalar`, the test oracle): same stream bytes out of
+compression, same array out of decompression, same typed rejection of
+invalid input.  This suite states that claim as a grid — for every
+(dtype, bound mode, block size, worker count) cell all four must agree
+exactly — plus the awkward inputs where merges historically diverge
+(empty arrays, all-constant fields, non-block-multiple lengths).
 """
 
 import numpy as np
 import pytest
 
-from repro.core.api import compress, decompress
-from repro.parallel import (
-    omp_compress,
-    omp_decompress,
-    procpool_compress,
-    procpool_decompress,
-)
+from repro.codec import CodecConfig, SZxCodec
+from repro.core.api import compress, decompress, resolve_error_bound
+from repro.core.scalar import compress_scalar, decompress_scalar
+from repro.core.stream import parse_stream
 
 RNG = np.random.default_rng(2024)
 
@@ -33,31 +31,33 @@ def make_field(dtype, n=10_037):
     return d
 
 
+def pool(backend, workers, err_bound=None, **kw):
+    """The codec on *backend* with *workers* pool workers."""
+    return SZxCodec(CodecConfig(
+        err_bound=err_bound, workers=workers, backend=backend, **kw
+    ))
+
+
 def all_backend_streams(data, err_bound, *, mode, block_size, workers):
-    """Compressed bytes from each of the four execution paths."""
+    """Compressed bytes from the scalar oracle and the three codec paths."""
+    kw = dict(mode=mode, block_size=block_size)
     return {
-        "scalar": compress(
-            data, err_bound, mode=mode, block_size=block_size, engine="scalar"
-        ),
-        "vectorized": compress(
-            data, err_bound, mode=mode, block_size=block_size
-        ),
-        "thread": omp_compress(
-            data, err_bound, mode=mode, block_size=block_size, n_threads=workers
-        ),
-        "process": procpool_compress(
-            data, err_bound, mode=mode, block_size=block_size, n_procs=workers
-        ),
+        "scalar": compress_scalar(
+            data, resolve_error_bound(data, err_bound, mode), block_size
+        ).to_bytes(),
+        "vectorized": compress(data, err_bound, **kw),
+        "thread": pool("thread", workers, err_bound, **kw).compress(data),
+        "process": pool("process", workers, err_bound, **kw).compress(data),
     }
 
 
 def all_backend_arrays(stream, *, workers):
-    """Reconstructions from each of the four execution paths."""
+    """Reconstructions from the scalar oracle and the three codec paths."""
     return {
-        "scalar": decompress(stream, engine="scalar"),
+        "scalar": decompress_scalar(parse_stream(stream)),
         "vectorized": decompress(stream),
-        "thread": omp_decompress(stream, n_threads=workers),
-        "process": procpool_decompress(stream, n_procs=workers),
+        "thread": pool("thread", workers).decompress(stream),
+        "process": pool("process", workers).decompress(stream),
     }
 
 
@@ -128,19 +128,22 @@ class TestAwkwardInputs:
     def test_checksum_streams_identical(self):
         data = make_field(np.float32)
         serial = compress(data, 1e-3, checksum=True)
-        parallel = procpool_compress(data, 1e-3, n_procs=self.WORKERS, checksum=True)
+        parallel = pool(
+            "process", self.WORKERS, 1e-3, checksum=True
+        ).compress(data)
         assert serial == parallel
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_rejected_identically(self, bad):
+        # Input validation is the codec's contract; the scalar oracle
+        # is not an entry point and takes no part in it.
         data = make_field(np.float32)
         data[123] = bad
         errors = {}
         for name, fn in {
-            "scalar": lambda: compress(data, 1e-3, engine="scalar"),
             "vectorized": lambda: compress(data, 1e-3),
-            "thread": lambda: omp_compress(data, 1e-3, n_threads=self.WORKERS),
-            "process": lambda: procpool_compress(data, 1e-3, n_procs=self.WORKERS),
+            "thread": lambda: pool("thread", self.WORKERS, 1e-3).compress(data),
+            "process": lambda: pool("process", self.WORKERS, 1e-3).compress(data),
         }.items():
             with pytest.raises(ValueError) as excinfo:
                 fn()

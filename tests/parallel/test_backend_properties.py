@@ -15,16 +15,11 @@ format guarantees rather than example outputs:
 import numpy as np
 import pytest
 
+from repro.codec import CodecConfig, SZxCodec
 from repro.core.api import compress, decompress, resolve_error_bound_info
 from repro.core.header import StreamHeader
+from repro.core.kernels import decompress_blocks
 from repro.core.stream import StreamComponents, parse_stream, payload_offsets
-from repro.core.vectorized import decompress_vectorized
-from repro.parallel import (
-    omp_compress,
-    omp_decompress,
-    procpool_compress,
-    procpool_decompress,
-)
 
 
 def draw_cases(seed=7, n_cases=12):
@@ -82,21 +77,15 @@ class TestRandomizedRoundtrip:
         )
         recon_serial = decompress(serial)
 
-        for name, comp_fn, deco_fn in (
-            ("thread",
-             lambda: omp_compress(
-                 data, case["err_bound"], mode=case["mode"],
-                 block_size=case["block_size"], n_threads=case["workers"]),
-             lambda s: omp_decompress(s, n_threads=case["workers"])),
-            ("process",
-             lambda: procpool_compress(
-                 data, case["err_bound"], mode=case["mode"],
-                 block_size=case["block_size"], n_procs=case["workers"]),
-             lambda s: procpool_decompress(s, n_procs=case["workers"])),
-        ):
-            stream = comp_fn()
+        for name in ("thread", "process"):
+            codec = SZxCodec(CodecConfig(
+                err_bound=case["err_bound"], mode=case["mode"],
+                block_size=case["block_size"], workers=case["workers"],
+                backend=name,
+            ))
+            stream = codec.compress(data)
             assert stream == serial, f"{name} stream diverged"
-            recon = deco_fn(stream)
+            recon = codec.decompress(stream)
             assert recon.shape == data.shape, name
             assert np.array_equal(recon, recon_serial), name
             err = np.abs(recon.astype(np.float64) - data.astype(np.float64))
@@ -112,7 +101,7 @@ class TestRandomizedRoundtrip:
         offsets = payload_offsets(comp.zsizes)
         assert int(offsets[-1]) == len(comp.payload)
 
-        full = decompress_vectorized(comp).reshape(-1)
+        full = decompress_blocks(comp).reshape(-1)
         block_size = header.block_size
         nonconst_indices = np.flatnonzero(comp.nonconst_mask)
         for j, block in enumerate(nonconst_indices):
@@ -134,7 +123,7 @@ class TestRandomizedRoundtrip:
                 zsizes=comp.zsizes[j : j + 1],
                 payload=section,
             )
-            assert np.array_equal(decompress_vectorized(sub), full[lo:hi]), (
+            assert np.array_equal(decompress_blocks(sub), full[lo:hi]), (
                 f"block {block}: payload slice {offsets[j]}:{offsets[j + 1]} "
                 f"is not a self-contained section"
             )

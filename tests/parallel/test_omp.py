@@ -3,11 +3,17 @@
 import numpy as np
 import pytest
 
+from repro.codec import CodecConfig, SZxCodec
 from repro.core.api import compress, decompress
-from repro.parallel import chunk_block_ranges, omp_compress, omp_decompress
+from repro.parallel import chunk_block_ranges, resolve_worker_count
 from repro.parallel.scaling import modeled_speedup, modeled_throughput
 
 RNG = np.random.default_rng(40)
+
+
+def omp_codec(workers, err_bound=None, **kw):
+    """The codec on the thread backend with *workers* pool threads."""
+    return SZxCodec(CodecConfig(err_bound=err_bound, workers=workers, **kw))
 
 
 class TestChunking:
@@ -30,46 +36,47 @@ class TestChunking:
             chunk_block_ranges(10, 0)
 
 
-@pytest.mark.parametrize("n_threads", [1, 2, 4, 7])
+@pytest.mark.parametrize("workers", [1, 2, 4, 7])
 class TestOmpCodec:
-    def test_stream_byte_identical_to_serial(self, n_threads):
+    def test_stream_byte_identical_to_serial(self, workers):
         d = np.cumsum(RNG.normal(size=50_000 + 13)).astype(np.float32)
         d[1000:3000] = 0.5
         serial = compress(d, 1e-3)
-        parallel = omp_compress(d, 1e-3, n_threads=n_threads)
+        parallel = omp_codec(workers, 1e-3).compress(d)
         assert serial == parallel
 
-    def test_parallel_decompress_matches(self, n_threads):
+    def test_parallel_decompress_matches(self, workers):
         d = (np.sin(np.linspace(0, 100, 40_000)) * 3).astype(np.float32)
         stream = compress(d, 1e-4)
         assert np.array_equal(
-            decompress(stream), omp_decompress(stream, n_threads=n_threads)
+            decompress(stream), omp_codec(workers).decompress(stream)
         )
 
-    def test_rel_mode(self, n_threads):
+    def test_rel_mode(self, workers):
         d = (RNG.normal(size=20_000) * 50).astype(np.float32)
         serial = compress(d, 1e-3, mode="rel")
-        parallel = omp_compress(d, 1e-3, mode="rel", n_threads=n_threads)
+        parallel = omp_codec(workers, 1e-3, mode="rel").compress(d)
         assert serial == parallel
 
 
 class TestOmpEdgeCases:
     def test_empty(self):
         d = np.empty(0, dtype=np.float32)
-        assert omp_decompress(omp_compress(d, 1e-3, n_threads=4)).size == 0
+        assert omp_codec(4).decompress(omp_codec(4, 1e-3).compress(d)).size == 0
 
     def test_fewer_blocks_than_threads(self):
         d = RNG.normal(size=100).astype(np.float32)
-        assert omp_compress(d, 1e-3, n_threads=64) == compress(d, 1e-3)
+        assert omp_codec(64, 1e-3).compress(d) == compress(d, 1e-3)
 
     def test_shape_restored(self):
         d = RNG.normal(size=(50, 70)).astype(np.float32)
-        r = omp_decompress(omp_compress(d, 1e-2, n_threads=4), n_threads=4)
+        codec = omp_codec(4, 1e-2)
+        r = codec.decompress(codec.compress(d))
         assert r.shape == d.shape
 
     def test_float64(self):
         d = np.cumsum(RNG.normal(size=30_000)).astype(np.float64)
-        assert omp_compress(d, 1e-5, n_threads=4) == compress(d, 1e-5)
+        assert omp_codec(4, 1e-5).compress(d) == compress(d, 1e-5)
 
 
 class TestScalingModel:
@@ -101,21 +108,21 @@ class TestScalingModel:
             modeled_speedup("szx", 0)
 
 
-@pytest.mark.parametrize("n_threads", [1, 2, 3, 16])
+@pytest.mark.parametrize("workers", [1, 2, 3, 16])
 class TestOmpDifferential:
     """Block counts smaller than, equal to, and coprime with the thread
     count — the chunk-boundary cases where a merge bug would hide."""
 
     _BS = 32
 
-    def _block_counts(self, n_threads):
+    def _block_counts(self, workers):
         return sorted(
             {
-                max(n_threads - 1, 1),  # fewer blocks than threads
-                n_threads,  # exactly one block per thread
-                n_threads + 1,
-                2 * n_threads + 1,  # coprime with n_threads
-                7 if n_threads != 7 else 9,  # coprime, fixed small count
+                max(workers - 1, 1),  # fewer blocks than threads
+                workers,  # exactly one block per thread
+                workers + 1,
+                2 * workers + 1,  # coprime with workers
+                7 if workers != 7 else 9,  # coprime, fixed small count
             }
         )
 
@@ -126,73 +133,67 @@ class TestOmpDifferential:
             d[self._BS : 2 * self._BS] = 1.25  # force one constant block
         return d
 
-    def test_compress_bytes_match_serial(self, n_threads):
-        for n_blocks in self._block_counts(n_threads):
+    def test_compress_bytes_match_serial(self, workers):
+        for n_blocks in self._block_counts(workers):
             for tail in (0, 1, self._BS - 1):
                 d = self._field(n_blocks, tail)
                 serial = compress(d, 1e-3, block_size=self._BS)
-                parallel = omp_compress(
-                    d, 1e-3, block_size=self._BS, n_threads=n_threads
-                )
+                parallel = omp_codec(
+                    workers, 1e-3, block_size=self._BS
+                ).compress(d)
                 assert serial == parallel, (
                     f"n_blocks={n_blocks}, tail={tail}"
                 )
 
-    def test_decompress_matches_serial(self, n_threads):
-        for n_blocks in self._block_counts(n_threads):
+    def test_decompress_matches_serial(self, workers):
+        for n_blocks in self._block_counts(workers):
             for tail in (0, 1, self._BS - 1):
                 d = self._field(n_blocks, tail)
                 stream = compress(d, 1e-3, block_size=self._BS)
                 assert np.array_equal(
                     decompress(stream),
-                    omp_decompress(stream, n_threads=n_threads),
+                    omp_codec(workers).decompress(stream),
                 ), f"n_blocks={n_blocks}, tail={tail}"
 
-    def test_checksummed_stream_matches_serial(self, n_threads):
+    def test_checksummed_stream_matches_serial(self, workers):
         d = np.cumsum(RNG.normal(size=5 * self._BS + 3)).astype(np.float32)
         serial = compress(d, 1e-3, block_size=self._BS, checksum=True)
-        parallel = omp_compress(
-            d, 1e-3, block_size=self._BS, n_threads=n_threads, checksum=True
-        )
+        parallel = omp_codec(
+            workers, 1e-3, block_size=self._BS, checksum=True
+        ).compress(d)
         assert serial == parallel
         assert np.array_equal(
-            decompress(serial), omp_decompress(serial, n_threads=n_threads)
+            decompress(serial), omp_codec(workers).decompress(serial)
         )
 
 
 class TestThreadCountValidation:
     def test_rejects_zero_and_negative(self):
-        from repro.parallel import resolve_thread_count
-
         for bad in (0, -1, -100):
             with pytest.raises(ValueError, match=">= 1"):
-                resolve_thread_count(bad)
+                resolve_worker_count(bad)
 
     def test_rejects_non_int(self):
-        from repro.parallel import resolve_thread_count
-
         for bad in (2.0, "4", None, True):
             with pytest.raises(ValueError, match="int"):
-                resolve_thread_count(bad)
+                resolve_worker_count(bad)
 
     def test_clamps_to_cpu_count(self):
         import os
 
-        from repro.parallel import resolve_thread_count
-
         ncpu = os.cpu_count() or 1
-        assert resolve_thread_count(1) == 1
-        assert resolve_thread_count(ncpu) == ncpu
-        assert resolve_thread_count(10_000) == ncpu
+        assert resolve_worker_count(1) == 1
+        assert resolve_worker_count(ncpu) == ncpu
+        assert resolve_worker_count(10_000) == ncpu
 
     def test_omp_entrypoints_reject_bad_counts(self):
         d = np.cumsum(RNG.normal(size=1024)).astype(np.float32)
         stream = compress(d, 1e-3)
         with pytest.raises(ValueError):
-            omp_compress(d, 1e-3, n_threads=0)
+            omp_codec(0, 1e-3).compress(d)
         with pytest.raises(ValueError):
-            omp_decompress(stream, n_threads=-2)
+            omp_codec(-2).decompress(stream)
 
     def test_oversubscribed_request_still_correct(self):
         d = np.cumsum(RNG.normal(size=2048)).astype(np.float32)
-        assert omp_compress(d, 1e-3, n_threads=10_000) == compress(d, 1e-3)
+        assert omp_codec(10_000, 1e-3).compress(d) == compress(d, 1e-3)

@@ -15,6 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.codec import CodecConfig, SZxCodec
 from repro.core.api import compress, decompress
 from repro.parallel import (
     MAX_PROCESS_WORKERS,
@@ -23,16 +24,21 @@ from repro.parallel import (
     UnknownBackendError,
     WorkerCrashError,
     default_pool,
-    procpool_compress,
-    procpool_decompress,
     resolve_backend,
-    resolve_thread_count,
+    resolve_worker_count,
     shutdown_default_pools,
 )
 from repro.parallel import backends as backends_mod
 from repro.testing import faults
 
 RNG = np.random.default_rng(77)
+
+
+def proc_codec(workers, err_bound=None):
+    """The codec on the process backend with *workers* processes."""
+    return SZxCodec(CodecConfig(
+        err_bound=err_bound, workers=workers, backend="process"
+    ))
 
 
 def shm_segments():
@@ -106,8 +112,8 @@ class TestCrashRecovery:
     def test_no_segments_leak_across_many_calls(self, data):
         before = shm_segments()
         for _ in range(3):
-            stream = procpool_compress(data, 1e-3, n_procs=2)
-            procpool_decompress(stream, n_procs=2)
+            codec = proc_codec(2, 1e-3)
+            codec.decompress(codec.compress(data))
         shutdown_default_pools()
         assert shm_segments() <= before
 
@@ -142,25 +148,25 @@ class TestBackendValidation:
             with pytest.raises(UnknownBackendError):
                 resolve_backend(bad)
             with pytest.raises(UnknownBackendError):
-                resolve_thread_count(2, backend=bad)
+                resolve_worker_count(2, backend=bad)
         with pytest.raises(UnknownBackendError):
             resolve_backend(None)
         # backend=None means "not specified" for the count resolver.
-        assert resolve_thread_count(1, backend=None) == 1
+        assert resolve_worker_count(1, backend=None) == 1
         # UnknownBackendError is a ValueError: old call sites that catch
         # ValueError keep working.
         assert issubclass(UnknownBackendError, ValueError)
 
     def test_thread_counts_still_cpu_clamped(self):
-        assert resolve_thread_count(10_000) == (os.cpu_count() or 1)
-        assert resolve_thread_count(10_000, backend="thread") == (
+        assert resolve_worker_count(10_000) == (os.cpu_count() or 1)
+        assert resolve_worker_count(10_000, backend="thread") == (
             os.cpu_count() or 1
         )
 
     def test_process_counts_capped_not_cpu_clamped(self):
-        assert resolve_thread_count(4, backend="process") == 4
+        assert resolve_worker_count(4, backend="process") == 4
         assert (
-            resolve_thread_count(10_000, backend="process")
+            resolve_worker_count(10_000, backend="process")
             == MAX_PROCESS_WORKERS
         )
 
@@ -171,7 +177,7 @@ class TestBackendValidation:
         # The codec path degrades the same way and still round-trips.
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            stream = procpool_compress(data, 1e-3, n_procs=2)
+            stream = proc_codec(2, 1e-3).compress(data)
         assert stream == compress(data, 1e-3)
 
     def test_warn_false_is_silent(self, monkeypatch):

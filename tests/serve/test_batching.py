@@ -14,11 +14,10 @@ class FakeJob:
     """The attribute surface batching needs from a service job."""
 
     def __init__(self, array, abs_bound=1e-3, block_size=BS,
-                 engine="vectorized", kind="compress", checksum=False):
+                 kind="compress", checksum=False):
         self.array = np.asarray(array)
         self.abs_bound = abs_bound
         self.block_size = block_size
-        self.engine = engine
         self.kind = kind
         self.checksum = checksum
 
@@ -100,7 +99,6 @@ class TestGrouping:
 
     def test_is_batchable(self):
         assert is_batchable(FakeJob(_field(BS)))
-        assert not is_batchable(FakeJob(_field(BS), engine="scalar"))
         assert not is_batchable(FakeJob(_field(BS), kind="decompress"))
         assert not is_batchable(FakeJob(np.empty(0, np.float32)))
 

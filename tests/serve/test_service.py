@@ -14,6 +14,7 @@ from repro.serve import (
     ServiceOverloadedError,
     TransientError,
 )
+from repro.serve import service as service_module
 from repro.testing import faults
 
 RNG = np.random.default_rng(1234)
@@ -73,12 +74,6 @@ class TestBasics:
         with CompressionService(workers=1) as svc:
             stream = svc.compress(data, CFG)
         assert stream == SZxCodec(CFG).compress(data)
-
-    def test_scalar_engine_jobs_run_unbatched(self):
-        data = _field(600)
-        cfg = CodecConfig(err_bound=1e-3, engine="scalar")
-        with CompressionService(workers=2) as svc:
-            assert svc.compress(data, cfg) == SZxCodec(cfg).compress(data)
 
     def test_stats_counters(self):
         with CompressionService(workers=1) as svc:
@@ -216,11 +211,16 @@ class TestBackpressure:
         finally:
             svc.close()
 
-    def test_block_policy_times_out(self):
-        # Scalar-engine jobs are slow enough that one worker cannot free
-        # queue space within the 50 ms submit deadline.
+    def test_block_policy_times_out(self, monkeypatch):
+        # Jobs slowed to 200 ms each: one worker cannot free queue
+        # space within the 50 ms submit deadline.
+        class SlowCodec(SZxCodec):
+            def compress(self, data):
+                time.sleep(0.2)
+                return super().compress(data)
+
+        monkeypatch.setattr(service_module, "SZxCodec", SlowCodec)
         data = _field(1 << 15)
-        slow_cfg = CodecConfig(err_bound=1e-3, engine="scalar")
         svc = CompressionService(workers=1, queue_capacity=1,
                                  overflow="block", submit_timeout_s=0.05,
                                  batching=False)
@@ -228,7 +228,7 @@ class TestBackpressure:
             futs = []
             with pytest.raises(ServiceOverloadedError):
                 for _ in range(6):
-                    futs.append(svc.submit_compress(data, slow_cfg))
+                    futs.append(svc.submit_compress(data, CFG))
             for f in futs:
                 f.result(timeout=120)
         finally:

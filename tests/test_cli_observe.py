@@ -34,7 +34,7 @@ class TestTrace:
         ]) == 0
         out = capsys.readouterr().out
         assert "szx.compress" in out
-        assert "engine.vectorized.compress" in out
+        assert "resolve_bound" in out
         assert "encode_blocks" in out
         assert "ms" in out  # per-stage wall time
         assert "->" in out  # bytes in -> bytes out
@@ -64,22 +64,13 @@ class TestTrace:
         assert top["bytes_in"] == data.nbytes
         assert top["bytes_out"] == szx.stat().st_size
         names = {c["name"] for c in top["children"]}
-        assert "engine.vectorized.compress" in names
+        assert {"resolve_bound", "encode_blocks", "szx.assemble"} <= names
 
     def test_no_trace_flag_prints_no_tree(self, field_file, tmp_path, capsys):
         path, _ = field_file
         szx = tmp_path / "out.szx"
         assert main(["compress", str(path), "-o", str(szx), "-e", "1e-3"]) == 0
         assert "szx.compress" not in capsys.readouterr().out
-
-    def test_scalar_engine_trace(self, field_file, tmp_path, capsys):
-        path, _ = field_file
-        szx = tmp_path / "out.szx"
-        assert main([
-            "compress", str(path), "-o", str(szx), "-e", "1e-3",
-            "--engine", "scalar", "--trace",
-        ]) == 0
-        assert "engine.scalar.compress" in capsys.readouterr().out
 
 
 class TestStats:

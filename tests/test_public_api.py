@@ -3,14 +3,20 @@
 ``__all__`` is a contract: additions and removals are deliberate API
 decisions, so this test pins the exact surface.  A failing run means
 either an accidental export (fix the code) or an intended API change
-(update EXPECTED_SURFACE *and* the README/ARCHITECTURE docs).
+(update EXPECTED_SURFACE or EXPECTED_PARALLEL_SURFACE *and* the
+README/ARCHITECTURE docs).
 """
 
-import warnings
+import dataclasses
+import importlib
 
+import numpy as np
 import pytest
 
 import repro
+import repro.parallel
+import repro.parallel.omp
+import repro.parallel.procpool
 
 EXPECTED_SURFACE = {
     # codec surface
@@ -70,58 +76,91 @@ class TestPublicSurface:
             repro.not_a_real_export
 
 
-class TestDeprecatedAliasesStillWork:
-    """The renamed parameters keep working behind DeprecationWarning."""
+EXPECTED_PARALLEL_SURFACE = {
+    "BACKENDS",
+    "MAX_PROCESS_WORKERS",
+    "UnknownBackendError",
+    "resolve_backend",
+    "shared_memory_available",
+    "resolve_worker_count",
+    "chunk_block_ranges",
+    "KILL_SITE",
+    "ProcPool",
+    "WorkerCrashError",
+    "default_pool",
+    "shutdown_default_pools",
+}
 
-    def test_codec_config_threads_alias(self):
-        with pytest.warns(DeprecationWarning, match="threads"):
-            cfg = repro.CodecConfig(err_bound=1e-3, threads=2)
-        assert cfg.workers == 2
 
-    def test_codec_config_num_threads_alias(self):
-        with pytest.warns(DeprecationWarning, match="num_threads"):
-            cfg = repro.CodecConfig(err_bound=1e-3, num_threads=3)
-        assert cfg.workers == 3
+class TestParallelSurface:
+    def test_all_matches_expected_surface(self):
+        assert set(repro.parallel.__all__) == EXPECTED_PARALLEL_SURFACE
 
-    def test_codec_config_error_bound_alias(self):
-        with pytest.warns(DeprecationWarning, match="error_bound"):
-            cfg = repro.CodecConfig(error_bound=1e-2)
-        assert cfg.err_bound == 1e-2
+    def test_every_name_resolves(self):
+        for name in repro.parallel.__all__:
+            assert getattr(repro.parallel, name) is not None
 
-    def test_alias_and_canonical_together_rejected(self):
-        with pytest.raises(TypeError, match="not both"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                repro.CodecConfig(err_bound=1e-3, workers=2, threads=2)
+
+class TestRemovedNames:
+    """The 2.0 removals stay removed: one spelling per setting."""
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"threads": 2},
+            {"num_threads": 2},
+            {"error_bound": 1e-3},
+            {"engine": "scalar"},
+        ],
+        ids=lambda kw: next(iter(kw)),
+    )
+    def test_removed_config_kwargs_raise(self, kwargs):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            repro.CodecConfig(**kwargs)
 
     def test_unknown_kwarg_rejected(self):
         with pytest.raises(TypeError, match="unexpected keyword"):
             repro.CodecConfig(err_bound=1e-3, wrokers=2)
 
-    def test_threads_property_warns(self):
-        cfg = repro.CodecConfig(err_bound=1e-3, workers=4)
-        with pytest.warns(DeprecationWarning, match="workers"):
-            assert cfg.threads == 4
+    def test_config_has_exactly_six_fields(self):
+        names = [f.name for f in dataclasses.fields(repro.CodecConfig)]
+        assert names == [
+            "err_bound", "mode", "block_size", "checksum", "workers", "backend",
+        ]
+        assert not hasattr(repro.CodecConfig(), "threads")
 
-    def test_replace_accepts_alias(self):
-        cfg = repro.CodecConfig(err_bound=1e-3)
-        with pytest.warns(DeprecationWarning, match="threads"):
-            assert cfg.replace(threads=5).workers == 5
+    def test_vectorized_module_is_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.core.vectorized")
 
-    def test_resolve_thread_count_warns(self):
-        from repro.parallel import resolve_thread_count, resolve_worker_count
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "omp_compress",
+            "omp_decompress",
+            "procpool_compress",
+            "procpool_decompress",
+            "resolve_thread_count",
+        ],
+    )
+    def test_pool_wrappers_are_gone(self, name):
+        for module in (
+            repro.parallel, repro.parallel.omp, repro.parallel.procpool,
+        ):
+            assert not hasattr(module, name)
 
-        with pytest.warns(DeprecationWarning, match="resolve_worker_count"):
-            assert resolve_thread_count(1) == resolve_worker_count(1)
+    @pytest.mark.parametrize(
+        "flag", [["--threads", "2"], ["--engine", "scalar"]],
+        ids=lambda flag: flag[0].lstrip("-"),
+    )
+    def test_removed_cli_flags_exit_2(self, flag, tmp_path, capsys):
+        from repro.cli import main
 
-    def test_deprecated_pool_wrappers_byte_identical(self):
-        import numpy as np
-
-        from repro.parallel import omp_compress, procpool_compress
-
-        data = np.linspace(0.0, 1.0, 4096, dtype=np.float32)
-        canonical = repro.compress(data, 1e-3)
-        with pytest.warns(DeprecationWarning, match="omp_compress"):
-            assert omp_compress(data, 1e-3, n_threads=2) == canonical
-        with pytest.warns(DeprecationWarning, match="procpool_compress"):
-            assert procpool_compress(data, 1e-3, n_procs=2) == canonical
+        raw = tmp_path / "d.f32"
+        np.zeros(64, dtype=np.float32).tofile(raw)
+        argv = ["compress", str(raw), "-o", str(tmp_path / "d.szx"),
+                "-e", "1e-3", *flag]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
