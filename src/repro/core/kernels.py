@@ -16,12 +16,19 @@ the process pool (:mod:`repro.parallel.procpool`), the micro-batcher, and
   with integer-gather ``take`` calls — ~4× faster than the boolean-mask
   gather it replaces.
 
-* **Preallocated arenas.**  Every intermediate lives in a
-  :class:`KernelArena`, a grow-only scratch allocator reused across
-  batches; the numpy work happens through ``out=`` calls into arena
-  views, so steady-state compression allocates almost nothing per call.
-  Arenas are *not* thread-safe; each pool worker gets its own via the
-  thread-local :func:`default_arena`.
+* **Cache-blocked batches, one payload buffer.**  The chain never hands
+  the kernels the whole input: ``encode_blocks``/``decode_blocks`` loop
+  over batches of :data:`BATCH_BYTES` (~1 MiB) of non-constant full
+  blocks, the CPU form of the paper's per-block streaming loop (Section
+  6.1).  Every intermediate lives in a :class:`KernelArena`, a grow-only
+  scratch allocator reused across batches, so its size is set by the
+  batch rather than the input and stays cache-resident; the numpy work
+  happens through ``out=`` calls into arena views.  Encode writes each
+  batch's payloads into the next slice of one buffer sized by the
+  format's worst case (:func:`~repro.core.stream.payload_bound`); decode
+  gives each batch its own payload slice.  Positions are batch-relative,
+  so they always fit int32.  Arenas are *not* thread-safe; each pool
+  worker gets its own via the thread-local :func:`default_arena`.
 
 * **A stage chain.**  The encode and decode paths are sequences of named
   :class:`KernelStage` objects run by a :class:`KernelChain`; each stage
@@ -59,11 +66,13 @@ from .scalar import _decode_nonconstant_block, _encode_nonconstant_block
 from .stream import (
     StreamComponents,
     lead_section_size,
+    payload_bound,
     payload_offsets,
     payload_prefix_size,
 )
 
 __all__ = [
+    "BATCH_BYTES",
     "KernelArena",
     "KernelStage",
     "KernelChain",
@@ -75,6 +84,20 @@ __all__ = [
     "ENCODE_CHAIN",
     "DECODE_CHAIN",
 ]
+
+
+#: Input bytes per encode/decode batch.  The chain hands the batch kernels
+#: ``max(1, BATCH_BYTES // (block_size * itemsize))`` blocks at a time, so
+#: every arena view stays cache-sized whatever the input size.  On a 64 MiB
+#: field, 512 KiB to 2 MiB batches compress ~2.1x and decompress ~1.7x
+#: faster than one input-sized batch; 16 MiB batches gain only ~1.2x
+#: (``results/ablation_kernel_batch.txt``).
+BATCH_BYTES = 1 << 20
+
+
+def _batch_blocks(block_size: int, traits: DtypeTraits) -> int:
+    """Blocks per kernel batch for *block_size*-value blocks."""
+    return max(1, BATCH_BYTES // (block_size * traits.itemsize))
 
 
 # ---------------------------------------------------------------------------
@@ -193,18 +216,22 @@ def encode_batch(
     abs_bound: float,
     traits: DtypeTraits,
     *,
+    out: np.ndarray,
     arena: KernelArena | None = None,
-):
-    """Encode a ``(m, block_size)`` batch of non-constant blocks at once.
+) -> np.ndarray:
+    """Encode a ``(m, block_size)`` batch of non-constant blocks into *out*.
 
-    Returns ``(payload_bytes, zsizes)``.  All intermediates live in
-    *arena* (the caller thread's default arena when omitted); the single
-    per-call allocation of consequence is the returned payload copy.
+    The payloads land back to back from ``out[0]``; *out* is a uint8
+    buffer of at least :func:`~repro.core.stream.payload_bound` bytes
+    for the batch.  Returns the per-block zsizes (int64), so the payload
+    is ``out[:zsizes.sum()]``.  Positions are int32, which the chain's
+    cache-sized batches always fit.  All intermediates live in *arena*
+    (the caller thread's default arena when omitted).
     """
     m, bs = body.shape
     n = traits.itemsize
     if m == 0:
-        return b"", np.empty(0, dtype=np.int64)
+        return np.empty(0, dtype=np.int64)
     if arena is None:
         arena = default_arena()
 
@@ -255,20 +282,14 @@ def encode_batch(
     prefix = payload_prefix_size(traits)
     zsizes = inner[:, -1].astype(np.int64)
     zsizes += prefix + lead_bytes
-    total = int(zsizes.sum())
     starts = np.zeros(m, dtype=np.int64)
     np.cumsum(zsizes[:-1], out=starts[1:])
     mid_starts = starts + (prefix + lead_bytes)
 
-    # int32 positions gather measurably faster than int64; fall back only
-    # when the payload (or the byte cube) could overflow them.
-    pd = np.int32 if total < 2**31 and m * bs * n < 2**31 else np.int64
-    dest0 = arena.take("enc.dest0", (m, bs), pd)
+    dest0 = arena.take("enc.dest0", (m, bs), np.int32)
     np.subtract(inner, counts, out=dest0)  # exclusive per-value cumsum
     dest0 += mid_starts[:, None]
     dest0 -= lead  # first mid-byte position minus the lead count
-
-    out = arena.take("enc.payload", total, np.uint8)
 
     # -- header scatter: req byte, mu bytes, packed lead section --------
     out[starts] = req.astype(np.uint8)
@@ -288,8 +309,8 @@ def encode_batch(
     cube_flat = shifted.view(np.uint8).reshape(-1)
     dest0_flat = dest0.reshape(-1)
     lead_flat = lead.reshape(-1)
-    dbuf = arena.take("enc.d", m * bs, pd)
-    sbuf = arena.take("enc.s", m * bs, pd)
+    dbuf = arena.take("enc.d", m * bs, np.int32)
+    sbuf = arena.take("enc.s", m * bs, np.int32)
     vbuf = arena.take("enc.v", m * bs, np.uint8)
 
     nb_lo, nb_hi = int(nb8.min()), int(nb8.max())
@@ -318,7 +339,7 @@ def encode_batch(
         K = ids.size
         if K == 0:
             continue
-        ids = ids.astype(pd, copy=False)
+        ids = ids.astype(np.int32, copy=False)
         d = dbuf[:K]
         dest0_flat.take(ids, out=d, mode="clip")
         d += L
@@ -333,7 +354,7 @@ def encode_batch(
                 d += 1
                 s -= 1
 
-    return out.tobytes(), zsizes
+    return zsizes
 
 
 # ---------------------------------------------------------------------------
@@ -352,10 +373,12 @@ def decode_batch(
 ):
     """Decode a batch of full-size non-constant blocks to an (m, bs) array.
 
-    *starts*/*ends* are each block's payload boundaries.  Every invariant
-    the gather below relies on is validated first, so corrupt payloads
-    raise :class:`~repro.core.errors.PayloadFormatError` rather than
-    reading out of bounds.  *ends* may be omitted by trusted callers
+    *starts*/*ends* are each block's payload boundaries in *payload_u8*,
+    whose positions are gathered as int32 (the chain passes one batch's
+    slice, so they always fit).  Every invariant the gather below relies
+    on is validated first, so corrupt payloads raise
+    :class:`~repro.core.errors.PayloadFormatError` rather than reading
+    out of bounds.  *ends* may be omitted by trusted callers
     that already know the payload is self-consistent.
     """
     m = starts.size
@@ -396,17 +419,13 @@ def decode_batch(
                 "mid-byte count disagrees with the leading-code accounting",
                 section="payload",
             )
-    mid_starts = starts + prefix + lead_bytes
-    pos_dtype = np.int32 if payload_u8.size < 2**31 else np.int64
-    # Global payload position of every value's first mid-byte, minus its
-    # lead count: byte j of a provider value lives at mid_pos + (j - lead),
-    # so precomputing (mid_pos - lead) leaves one gather per byte position.
+    mid_starts = (starts + prefix + lead_bytes).astype(np.int32)
+    # Payload position of every value's first mid-byte, minus its lead
+    # count: byte j of a provider value lives at mid_pos + (j - lead), so
+    # precomputing (mid_pos - lead) leaves one gather per byte position.
     mid_minus_lead = (
-        mid_starts[:, None]
-        + np.cumsum(counts, axis=1, dtype=pos_dtype)
-        - counts
-        - lead
-    ).astype(pos_dtype, copy=False)
+        mid_starts[:, None] + np.cumsum(counts, axis=1, dtype=np.int32) - counts - lead
+    )
 
     value_index = np.arange(bs, dtype=np.int32)[None, :]
     # Little-endian byte cube: big-endian position j -> axis index n-1-j.
@@ -498,23 +517,28 @@ def _stage_block_stats(ctx: dict) -> None:
 
 
 def _stage_encode_blocks(ctx: dict) -> None:
-    layout, bs = ctx["layout"], ctx["block_size"]
-    flat, mask = ctx["flat"], ctx["nonconst_mask"]
+    layout, bs, traits = ctx["layout"], ctx["block_size"], ctx["traits"]
+    flat, mask, arena = ctx["flat"], ctx["nonconst_mask"], ctx["arena"]
     nf = layout.n_full
-    body_mask = mask[:nf]
-    body = flat[: nf * bs].reshape(nf, bs)[body_mask]
-    with observe.span("encode_blocks", bytes_in=int(body.nbytes)) as sp:
-        payload, zsizes = encode_batch(
-            body,
-            ctx["mu"][:nf][body_mask],
-            ctx["radius"][:nf][body_mask],
-            ctx["abs_bound"],
-            ctx["traits"],
-            arena=ctx["arena"],
-        )
-        sp.set(bytes_out=len(payload))
-    ctx["payload_parts"] = [payload]
-    ctx["zsize_list"] = [zsizes]
+    rows = flat[: nf * bs].reshape(nf, bs)
+    ids = np.flatnonzero(mask[:nf])
+    # One worst-case buffer per call; each batch fills the next slice.
+    payload = np.empty(payload_bound(flat.size, layout.n_blocks, bs, traits), np.uint8)
+    zsizes = np.empty(int(mask.sum()), dtype=np.uint16)
+    step, pos = _batch_blocks(bs, traits), 0
+    with observe.span("encode_blocks", bytes_in=ids.size * bs * traits.itemsize) as sp:
+        for lo in range(0, ids.size, step):
+            batch = ids[lo : lo + step]
+            body = arena.take("enc.body", (batch.size, bs), traits.dtype)
+            rows.take(batch, axis=0, out=body, mode="clip")
+            z = encode_batch(
+                body, ctx["mu"][batch], ctx["radius"][batch], ctx["abs_bound"],
+                traits, out=payload[pos:], arena=arena,
+            )
+            zsizes[lo : lo + batch.size] = z
+            pos += int(z.sum())
+        sp.set(bytes_out=pos)
+    ctx["payload"], ctx["payload_len"], ctx["zsizes"] = payload, pos, zsizes
 
 
 def _stage_encode_tail(ctx: dict) -> None:
@@ -528,8 +552,10 @@ def _stage_encode_tail(ctx: dict) -> None:
             ctx["radius"][-1],
             ctx["abs_bound"],
         )
-    ctx["payload_parts"].append(tail_payload)
-    ctx["zsize_list"].append(np.asarray([len(tail_payload)], dtype=np.int64))
+    pos, end = ctx["payload_len"], ctx["payload_len"] + len(tail_payload)
+    ctx["payload"][pos:end] = np.frombuffer(tail_payload, np.uint8)
+    ctx["payload_len"] = end
+    ctx["zsizes"][-1] = len(tail_payload)
 
 
 ENCODE_CHAIN = KernelChain(
@@ -578,22 +604,20 @@ def _stage_broadcast_const(ctx: dict) -> None:
 
 
 def _stage_decode_blocks(ctx: dict) -> None:
-    comp, layout = ctx["components"], ctx["layout"]
-    bs, out = ctx["block_size"], ctx["out"]
-    offsets, n_full_nc = ctx["offsets"], ctx["n_full_nc"]
+    comp, layout, traits = ctx["components"], ctx["layout"], ctx["traits"]
+    bs, offsets, n_full_nc = ctx["block_size"], ctx["offsets"], ctx["n_full_nc"]
+    rows = ctx["out"][: layout.n_full * bs].reshape(layout.n_full, bs)
+    step = _batch_blocks(bs, traits)
     with observe.span("decode_blocks", bytes_in=len(comp.payload)) as sp:
-        decoded = decode_batch(
-            ctx["payload_u8"],
-            offsets[:n_full_nc].astype(np.int64),
-            bs,
-            ctx["traits"],
-            ends=offsets[1 : n_full_nc + 1].astype(np.int64),
-            arena=ctx["arena"],
-        )
-        sp.set(bytes_out=int(decoded.nbytes))
-    if n_full_nc:
-        view = out[: layout.n_full * bs].reshape(layout.n_full, bs)
-        view[ctx["nonconst_ids"][:n_full_nc]] = decoded
+        for lo in range(0, n_full_nc, step):
+            hi = min(lo + step, n_full_nc)
+            # Batch-relative boundaries: the ends check runs on every batch.
+            bounds = offsets[lo : hi + 1] - offsets[lo]
+            rows[ctx["nonconst_ids"][lo:hi]] = decode_batch(
+                ctx["payload_u8"][offsets[lo] : offsets[hi]], bounds[:-1], bs,
+                traits, ends=bounds[1:], arena=ctx["arena"],
+            )
+        sp.set(bytes_out=n_full_nc * bs * traits.itemsize)
 
 
 def _stage_decode_tail(ctx: dict) -> None:
@@ -674,7 +698,6 @@ def compress_blocks(
     })
 
     nonconst_mask = ctx["nonconst_mask"]
-    all_zsizes = np.concatenate(ctx["zsize_list"])
     header = StreamHeader(
         traits=traits,
         n=flat.size,
@@ -689,8 +712,8 @@ def compress_blocks(
         header=header,
         nonconst_mask=nonconst_mask,
         const_mu=ctx["mu"][~nonconst_mask],
-        zsizes=all_zsizes.astype(np.uint16),
-        payload=b"".join(ctx["payload_parts"]),
+        zsizes=ctx["zsizes"],
+        payload=ctx["payload"][: ctx["payload_len"]].tobytes(),
     )
 
 

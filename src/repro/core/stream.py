@@ -53,6 +53,19 @@ def lead_section_size(block_len: int, traits: DtypeTraits) -> int:
     return (block_len * traits.lead_code_bits + 7) // 8
 
 
+def payload_bound(
+    n_values: int, n_blocks: int, block_size: int, traits: DtypeTraits
+) -> int:
+    """Worst-case payload bytes for *n_blocks* blocks of *n_values*.
+
+    Per non-constant block the payload is ``R byte + mu + packed lead
+    codes + mid-bytes`` and mid-bytes never exceed ``itemsize`` per
+    value, so the bound is exact-by-construction, not a heuristic.
+    """
+    per_block = payload_prefix_size(traits) + lead_section_size(block_size, traits)
+    return n_values * traits.itemsize + n_blocks * per_block
+
+
 @dataclass
 class StreamComponents:
     """All sections of an SZx stream, pre-assembly."""

@@ -45,12 +45,7 @@ from ..core.api import _check_input, resolve_error_bound_info
 from ..core.blocks import BlockLayout, validate_block_size
 from ..core.constants import DEFAULT_BLOCK_SIZE, FLAG_CHECKSUM, traits_for
 from ..core.header import StreamHeader
-from ..core.stream import (
-    StreamComponents,
-    lead_section_size,
-    payload_offsets,
-    payload_prefix_size,
-)
+from ..core.stream import StreamComponents, payload_bound, payload_offsets
 from ..core.kernels import compress_blocks, decompress_blocks
 from .chunking import chunk_block_ranges
 
@@ -108,17 +103,6 @@ def _destroy_shm(shm) -> None:
         pass
 
 
-def _payload_bound(n_values: int, n_blocks: int, block_size: int, traits) -> int:
-    """Worst-case payload bytes for *n_blocks* blocks of *n_values*.
-
-    Per non-constant block the payload is ``R byte + mu + packed lead
-    codes + mid-bytes`` and mid-bytes never exceed ``itemsize`` per
-    value, so the bound is exact-by-construction, not a heuristic.
-    """
-    per_block = payload_prefix_size(traits) + lead_section_size(block_size, traits)
-    return n_values * traits.itemsize + n_blocks * per_block
-
-
 # -- worker task bodies (top-level: picklable under any start method) ---
 
 
@@ -160,7 +144,7 @@ def _compress_task(task: tuple):
         flat = np.ndarray((n_values,), dtype=np.dtype(dtype_str), buffer=in_shm.buf)
         part = compress_blocks(flat[lo:hi], abs_bound, block_size)
         payload = part.payload
-        if len(payload) > arena_cap:  # impossible by _payload_bound; fail loud
+        if len(payload) > arena_cap:  # impossible by payload_bound; fail loud
             raise RuntimeError(
                 f"compressed payload {len(payload)}B exceeds arena slice "
                 f"{arena_cap}B"
@@ -453,7 +437,7 @@ def compress_components_procpool(
     caps, arena_offs, total_cap = [], [], 0
     for first, last in ranges:
         n_vals = min(last * block_size, flat.size) - first * block_size
-        cap = _payload_bound(n_vals, last - first, block_size, traits)
+        cap = payload_bound(n_vals, last - first, block_size, traits)
         arena_offs.append(total_cap)
         caps.append(cap)
         total_cap += cap

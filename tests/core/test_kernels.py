@@ -4,13 +4,18 @@ The scalar reference engine is the oracle: across dtype x mode x
 block_size and the awkward input shapes (strided, Fortran-order, empty,
 constant, tiny), the fused path must emit *byte-identical* streams and
 reconstruct within the pointwise error bound.  Arena reuse across
-heterogeneous calls must never leak state between batches.
+heterogeneous calls must never leak state between batches, batch
+boundaries must not show in the stream, and the arena must stay
+bounded by the batch size whatever the input size.
 """
 
 import numpy as np
 import pytest
 
+from repro.codec import CodecConfig, SZxCodec
+from repro.core import kernels
 from repro.core.api import resolve_error_bound
+from repro.core.errors import PayloadFormatError
 from repro.core.kernels import (
     DECODE_CHAIN,
     ENCODE_CHAIN,
@@ -199,3 +204,123 @@ class TestStageChains:
             collect(root, names)
         for expected in ENCODE_CHAIN.stage_names + DECODE_CHAIN.stage_names:
             assert expected in names, f"missing span {expected}"
+
+
+# -- batch boundaries -------------------------------------------------------
+
+BS = 16  # block size of the boundary tests
+B = 3  # blocks per batch once _small_batches shrinks BATCH_BYTES
+
+
+def _small_batches(monkeypatch, dtype=np.float32):
+    """Shrink the chain's batch to B blocks, so boundaries are cheap."""
+    monkeypatch.setattr(kernels, "BATCH_BYTES", B * BS * np.dtype(dtype).itemsize)
+
+
+def _blocks(pattern, dtype=np.float32, tail=0):
+    """One BS-value block per letter (N noisy, M noisy at 1e6x the
+    magnitude, C constant), then *tail* noisy values."""
+    scale = {"N": 1.0, "M": 1e6}
+    parts = [
+        np.full(BS, 1.5) if ch == "C" else RNG.normal(size=BS) * scale[ch]
+        for ch in pattern
+    ]
+    parts.append(RNG.normal(size=tail))
+    return np.concatenate(parts).astype(dtype)
+
+
+def _check_batched(data):
+    """Byte identity against the scalar oracle and across 1 vs 2 workers."""
+    stream = _roundtrip_and_check(data, 1e-3, "abs", BS)
+    config = CodecConfig(err_bound=1e-3, mode="abs", block_size=BS)
+    one, two = SZxCodec(config), SZxCodec(config.replace(workers=2))
+    assert one.compress(data) == stream
+    assert two.compress(data) == stream
+    assert np.array_equal(
+        one.decompress(stream).view(np.uint8), two.decompress(stream).view(np.uint8)
+    )
+
+
+class TestBatchBoundaries:
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("tail", [0, 5])
+    @pytest.mark.parametrize("n_blocks", [B - 1, B, B + 1, 2 * B + 1])
+    def test_block_counts_around_the_batch_size(
+        self, monkeypatch, dtype, tail, n_blocks
+    ):
+        _small_batches(monkeypatch, dtype)
+        _check_batched(_blocks("N" * n_blocks, dtype, tail))
+
+    @pytest.mark.parametrize(
+        "pattern", ["NNCCNNNCN", "CNNNCNNNC", "NNNCNNNC", "CCNNNCCNNNCC"]
+    )
+    def test_constant_blocks_on_both_sides_of_a_boundary(self, monkeypatch, pattern):
+        _small_batches(monkeypatch)
+        _check_batched(_blocks(pattern, tail=5))
+
+    @pytest.mark.parametrize(
+        "pattern", ["N" + "C" * B + "NNNN", "C" * B + "NNNN" + "C" * B]
+    )
+    def test_batch_sized_constant_run(self, monkeypatch, pattern):
+        _small_batches(monkeypatch)
+        _check_batched(_blocks(pattern))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_mixed_magnitudes_give_non_uniform_nbytes(self, monkeypatch, dtype):
+        _small_batches(monkeypatch, dtype)
+        _check_batched(_blocks("NMMNMNNCMNMN", dtype, tail=7))
+
+
+class TestBoundedArena:
+    def test_arena_size_is_set_by_the_batch_not_the_input(self):
+        # Blocks alternate 1x/1e6x magnitudes so every batch takes the
+        # non-uniform-nbytes path, and both inputs fill whole batches.
+        held = []
+        for mib in (4, 32):
+            n = mib << 18  # float32 values
+            scale = np.repeat(np.tile([1.0, 1e6], n // 256), 128)
+            rng = np.random.default_rng(mib)
+            data = (rng.normal(size=n) * scale).astype(np.float32)
+            arena = KernelArena()
+            comp = compress_blocks(data, 1e-3, 128, arena=arena)
+            decompress_blocks(parse_stream(comp.to_bytes()), arena=arena)
+            held.append(arena.nbytes)
+        assert held[0] == held[1]
+        assert held[0] <= 16 * kernels.BATCH_BYTES, held
+
+
+class TestCorruptionInEveryBatch:
+    """Corrupt blocks of the *last* batch must still be rejected."""
+
+    N_BLOCKS = 3 * B + 2  # the last batch holds blocks 3B and 3B+1
+
+    def _stream(self, tail=0):
+        data = _blocks("N" * self.N_BLOCKS, tail=tail)
+        return compress_blocks(data, 1e-3, BS).to_bytes()
+
+    def test_mid_byte_count_corruption(self, monkeypatch):
+        _small_batches(monkeypatch)
+        comp = parse_stream(self._stream())
+        comp.zsizes[-1] -= 1  # the last block's zsize no longer adds up
+        with pytest.raises(PayloadFormatError, match="mid-byte count"):
+            decompress_blocks(comp)
+
+    @pytest.mark.parametrize("bit", range(8))
+    def test_lead_code_corruption(self, monkeypatch, bit):
+        _small_batches(monkeypatch)
+        stream = bytearray(self._stream())
+        comp = parse_stream(bytes(stream))
+        base = len(stream) - len(comp.payload)
+        start = int(np.sum(comp.zsizes[:-1], dtype=np.int64))
+        stream[base + start + 1 + 4] ^= 1 << bit  # lead byte after R and mu
+        with pytest.raises(PayloadFormatError):
+            decompress_blocks(parse_stream(bytes(stream)))
+
+    def test_corrupt_nonconstant_tail(self, monkeypatch):
+        _small_batches(monkeypatch)
+        stream = bytearray(self._stream(tail=5))
+        comp = parse_stream(bytes(stream))
+        tail_start = len(stream) - int(comp.zsizes[-1])
+        stream[tail_start + 1 + 4] ^= 1  # the tail's first lead byte
+        with pytest.raises(PayloadFormatError):
+            decompress_blocks(parse_stream(bytes(stream)))
