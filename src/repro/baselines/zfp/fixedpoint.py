@@ -67,17 +67,21 @@ def block_emax(blocks: np.ndarray, traits: DtypeTraits) -> np.ndarray:
 
 
 def to_fixed(blocks: np.ndarray, emax: np.ndarray, traits: DtypeTraits) -> np.ndarray:
-    """Convert float blocks to int64 fixed point at the block exponent."""
+    """Convert float blocks to int64 fixed point at the block exponent.
+
+    ``ldexp`` scales the values themselves: a separate ``2^k`` factor
+    overflows for float64 blocks whose largest value is subnormal
+    (``k > 1023``) even though the scaled values fit.
+    """
     shift = INTPREC[traits.fullbits] - 2 - GUARD[traits.fullbits]
     expand = (slice(None),) + (None,) * (blocks.ndim - 1)
-    scale = np.ldexp(1.0, (shift - emax).clip(-1060, 1060).astype(np.int32))
-    q = blocks.astype(np.float64) * scale[expand]
-    return q.astype(np.int64)
+    k = (shift - emax).astype(np.int32)
+    return np.ldexp(blocks.astype(np.float64), k[expand]).astype(np.int64)
 
 
 def from_fixed(q: np.ndarray, emax: np.ndarray, traits: DtypeTraits) -> np.ndarray:
     """Inverse of :func:`to_fixed` (returns the traits dtype)."""
     shift = INTPREC[traits.fullbits] - 2 - GUARD[traits.fullbits]
     expand = (slice(None),) + (None,) * (q.ndim - 1)
-    scale = np.ldexp(1.0, (emax - shift).clip(-1060, 1060).astype(np.int32))
-    return (q.astype(np.float64) * scale[expand]).astype(traits.dtype)
+    k = (emax - shift).astype(np.int32)
+    return np.ldexp(q.astype(np.float64), k[expand]).astype(traits.dtype)

@@ -6,15 +6,18 @@ the process pool (:mod:`repro.parallel.procpool`), the micro-batcher, and
 ``bench.stage_breakdown`` all route through :func:`compress_blocks` /
 :func:`decompress_blocks`.  Three ideas organize it:
 
-* **Fused batch passes.**  One pass over a ``(m, block_size)`` batch
-  computes the normalized words, truncation shift, leading-XOR codes and
-  per-value mid-byte counts together, instead of the separate array
-  sweeps (and their temporaries) an unfused numpy encoder would
-  make.  The leading-byte count uses threshold comparisons on the XOR
-  words directly (``xor < 2^(8k)`` ⇔ at least ``n-k`` identical leading
-  bytes), and mid-bytes are emitted per ``(lead, nbytes)`` *class run*
-  with integer-gather ``take`` calls — ~4× faster than the boolean-mask
-  gather it replaces.
+* **Fused batch passes, one compaction.**  One pass over a
+  ``(m, block_size)`` batch computes the normalized words, truncation
+  shift, leading-XOR codes and lead counts together, instead of the
+  separate array sweeps (and their temporaries) an unfused numpy
+  encoder would make.  The leading-byte count uses threshold
+  comparisons on the XOR words directly (``xor < 2^(8k)`` ⇔ at least
+  ``n-k`` identical leading bytes).  Emission is then one stream
+  compaction, the numpy form of the paper's byte-aligned straight copy
+  (Solution C, Section 5.1): each block becomes a record of its header
+  bytes and its big-endian words, a keep mask marks the header and
+  every word byte ``lead <= j < nbytes``, and one ``np.compress`` writes
+  the whole batch's payloads back to back.
 
 * **Cache-blocked batches, one payload buffer.**  The chain never hands
   the kernels the whole input: ``encode_blocks``/``decode_blocks`` loop
@@ -89,9 +92,9 @@ __all__ = [
 #: Input bytes per encode/decode batch.  The chain hands the batch kernels
 #: ``max(1, BATCH_BYTES // (block_size * itemsize))`` blocks at a time, so
 #: every arena view stays cache-sized whatever the input size.  On a 64 MiB
-#: field, 512 KiB to 2 MiB batches compress ~2.1x and decompress ~1.7x
-#: faster than one input-sized batch; 16 MiB batches gain only ~1.2x
-#: (``results/ablation_kernel_batch.txt``).
+#: field, 256 KiB to 1 MiB batches compress ~1.4-1.6x and decompress
+#: ~1.2-1.3x faster than one input-sized batch; 16 MiB batches gain only
+#: ~1.0-1.1x (``results/ablation_kernel_batch.txt``).
 BATCH_BYTES = 1 << 20
 
 
@@ -194,13 +197,22 @@ def _unpack_lead_rows(packed: np.ndarray, k: int, bs: int) -> np.ndarray:
     return (bits << np.arange(k, dtype=np.uint16)).sum(axis=2, dtype=np.uint16)
 
 
-def _leading_counts_matrix(x: np.ndarray, traits: DtypeTraits) -> np.ndarray:
-    """Identical-leading-byte counts for an XOR matrix, vectorized."""
+def _leading_counts_matrix(
+    x: np.ndarray, traits: DtypeTraits, *, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Identical-leading-byte counts for an XOR matrix, vectorized.
+
+    At least k leading zero bytes  <=>  ``x < 2^((n-k)*8)``, so the count
+    is a sum of threshold comparisons.  Returns int8 counts, or fills and
+    returns *out* (any integer dtype of ``x``'s shape).
+    """
     n = traits.itemsize
-    count = np.zeros(x.shape, dtype=np.int8)
+    count = np.empty(x.shape, dtype=np.int8) if out is None else out
+    np.equal(x, 0, out=count)
+    flags = np.empty(x.shape, dtype=np.bool_)
     for kept in range(1, n):
-        count += (x >> traits.utype.type((n - kept) * 8)) == 0
-    count += x == 0
+        np.less(x, 1 << ((n - kept) * 8), out=flags)
+        count += flags
     return count
 
 
@@ -224,9 +236,9 @@ def encode_batch(
     The payloads land back to back from ``out[0]``; *out* is a uint8
     buffer of at least :func:`~repro.core.stream.payload_bound` bytes
     for the batch.  Returns the per-block zsizes (int64), so the payload
-    is ``out[:zsizes.sum()]``.  Positions are int32, which the chain's
-    cache-sized batches always fit.  All intermediates live in *arena*
-    (the caller thread's default arena when omitted).
+    is ``out[:zsizes.sum()]``.  The word, lead, record and keep-mask
+    matrices live in *arena* (the caller thread's default arena when
+    omitted).
     """
     m, bs = body.shape
     n = traits.itemsize
@@ -257,103 +269,40 @@ def encode_batch(
     np.bitwise_xor(shifted[:, 1:], shifted[:, :-1], out=xor[:, 1:])
     xor[:, 0] = shifted[:, 0]  # first value XORs with 0
 
-    # lead[i, v] = number of identical leading bytes of xor[i, v]:
-    # at least k leading zero bytes  <=>  xor < 2^((n-k)*8).
-    lead = arena.take("enc.lead", (m, bs), np.uint8)
-    flags = arena.take("enc.flags", (m, bs), np.bool_)
-    lead[:] = 0
-    for kept in range(1, n):
-        np.less(xor, 1 << ((n - kept) * 8), out=flags)
-        lead += flags
-    np.equal(xor, 0, out=flags)
-    lead += flags
+    lead = _leading_counts_matrix(
+        xor, traits, out=arena.take("enc.lead", (m, bs), np.uint8)
+    )
     np.minimum(lead, np.uint8(traits.max_lead), out=lead)
     np.minimum(lead, nb8[:, None], out=lead)
 
     packed = _pack_lead_rows(lead, traits.lead_code_bits)
-    lead_bytes = packed.shape[1]
-
-    # -- per-value mid-byte accounting and destination offsets ----------
-    counts = arena.take("enc.counts", (m, bs), np.int32)
-    np.subtract(nbytes.astype(np.int32)[:, None], lead, out=counts)
-    inner = arena.take("enc.inner", (m, bs), np.int32)
-    np.cumsum(counts, axis=1, out=inner)
-
     prefix = payload_prefix_size(traits)
-    zsizes = inner[:, -1].astype(np.int64)
-    zsizes += prefix + lead_bytes
-    starts = np.zeros(m, dtype=np.int64)
-    np.cumsum(zsizes[:-1], out=starts[1:])
-    mid_starts = starts + (prefix + lead_bytes)
+    head = prefix + packed.shape[1]
 
-    dest0 = arena.take("enc.dest0", (m, bs), np.int32)
-    np.subtract(inner, counts, out=dest0)  # exclusive per-value cumsum
-    dest0 += mid_starts[:, None]
-    dest0 -= lead  # first mid-byte position minus the lead count
-
-    # -- header scatter: req byte, mu bytes, packed lead section --------
-    out[starts] = req.astype(np.uint8)
+    # -- one compaction: per-block records through a keep mask ----------
+    # Each block's record is [req | mu | packed lead codes | big-endian
+    # words].  Keeping word byte j of a value iff lead <= j < nbytes makes
+    # the record's kept bytes exactly its payload (Formula (5)), so one
+    # row-major np.compress emits the whole batch back to back.
+    rec = arena.take("enc.rec", (m, head + bs * n), np.uint8)
+    rec[:, 0] = req
     mu_bytes = np.ascontiguousarray(mu, dtype=traits.dtype).view(np.uint8)
-    out[starts[:, None] + (1 + np.arange(n, dtype=np.int64))] = (
-        mu_bytes.reshape(m, n)
-    )
-    out[starts[:, None] + (prefix + np.arange(lead_bytes, dtype=np.int64))] = (
-        packed
-    )
+    rec[:, 1:prefix] = mu_bytes.reshape(m, n)
+    rec[:, prefix:head] = packed
+    # The copy through a big-endian view is the byte swap.
+    rec[:, head:].view(traits.utype.newbyteorder(">"))[...] = shifted
 
-    # -- mid-byte emission by (lead, nbytes) class runs ------------------
-    # Values sharing a class commit the same big-endian byte positions
-    # [L, nb); one integer gather per byte position per class replaces the
-    # old (m, bs, n) boolean-mask gather.  Little-endian byte cube: BE
-    # position j of a word is LE byte n-1-j.
-    cube_flat = shifted.view(np.uint8).reshape(-1)
-    dest0_flat = dest0.reshape(-1)
-    lead_flat = lead.reshape(-1)
-    dbuf = arena.take("enc.d", m * bs, np.int32)
-    sbuf = arena.take("enc.s", m * bs, np.int32)
-    vbuf = arena.take("enc.v", m * bs, np.uint8)
+    keep = arena.take("enc.keep", rec.shape, np.bool_)
+    keep[:, :head] = True
+    word_keep = keep[:, head:].reshape(m, bs, n)
+    for j in range(n):
+        np.less_equal(lead, j, out=word_keep[:, :, j])
+        short = nbytes <= j
+        if short.any():
+            word_keep[short, :, j] = False
 
-    nb_lo, nb_hi = int(nb8.min()), int(nb8.max())
-    if nb_lo == nb_hi:
-        # Uniform byte count: classes are the lead values alone.
-        classes = [
-            (L, nb_lo, np.flatnonzero(lead_flat == L))
-            for L in range(min(nb_lo, n))
-        ]
-    else:
-        key = arena.take("enc.key", (m, bs), np.int16)
-        key[:] = lead
-        key *= n + 1
-        key += nb8[:, None]
-        key_flat = key.reshape(-1)
-        occupied = np.flatnonzero(
-            np.bincount(key_flat, minlength=(n + 1) * (n + 1))
-        )
-        classes = [
-            (int(k) // (n + 1), int(k) % (n + 1), np.flatnonzero(key_flat == k))
-            for k in occupied
-            if int(k) // (n + 1) < int(k) % (n + 1)
-        ]
-
-    for L, nb, ids in classes:
-        K = ids.size
-        if K == 0:
-            continue
-        ids = ids.astype(np.int32, copy=False)
-        d = dbuf[:K]
-        dest0_flat.take(ids, out=d, mode="clip")
-        d += L
-        s = sbuf[:K]
-        np.multiply(ids, n, out=s)
-        s += n - 1 - L
-        v = vbuf[:K]
-        for j in range(L, nb):
-            cube_flat.take(s, out=v, mode="clip")
-            out[d] = v
-            if j + 1 < nb:
-                d += 1
-                s -= 1
-
+    zsizes = head + bs * nbytes - lead.sum(axis=1, dtype=np.int64)
+    np.compress(keep.reshape(-1), rec.reshape(-1), out=out[: int(zsizes.sum())])
     return zsizes
 
 

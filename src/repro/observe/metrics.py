@@ -16,6 +16,8 @@ import random
 import threading
 from collections import Counter as _TallyCounter
 
+import numpy as np
+
 
 class Counter:
     """Monotonically increasing count."""
@@ -68,15 +70,17 @@ class Histogram:
 
     Small non-negative integer observations (e.g. the required-bits
     values, block sizes) keep exact per-value buckets; everything else
-    falls into signed decade buckets.  A bounded reservoir (seeded
-    Algorithm R, so runs are reproducible) backs :meth:`quantile` /
-    :meth:`percentiles` — exact below :data:`RESERVOIR_SIZE`
-    observations, a uniform sample above it.
+    falls into signed decade buckets.  A bounded reservoir backs
+    :meth:`quantile` / :meth:`percentiles` — exact below
+    :data:`RESERVOIR_SIZE` observations, a uniform sample above it,
+    kept by seeded skip-based sampling (Li's Algorithm L), so runs are
+    reproducible and a batch costs one draw per replacement rather than
+    one per value.
     """
 
     __slots__ = (
         "name", "count", "total", "min", "max", "buckets",
-        "_samples", "_rng", "_lock",
+        "_samples", "_rng", "_w", "_next", "_lock",
     )
 
     def __init__(self, name: str):
@@ -88,31 +92,47 @@ class Histogram:
         self.buckets = _TallyCounter()
         self._samples: list[float] = []
         self._rng = random.Random(0x5A11C0 ^ hash(name) & 0xFFFFFFFF)
+        self._w = 1.0
+        self._next = RESERVOIR_SIZE  # 1-based number of the next replacement
+        self._skip()
         self._lock = threading.Lock()
+
+    def _skip(self) -> None:  # analyze: holds-lock
+        """Advance ``_next`` to the next observation that enters the full
+        reservoir (Algorithm L's geometric jump)."""
+        rng = self._rng
+        self._w *= math.exp(math.log(1.0 - rng.random()) / RESERVOIR_SIZE)
+        gap = 0.0
+        if self._w < 1.0:
+            gap = math.log(1.0 - rng.random()) / math.log1p(-self._w)
+        self._next += math.floor(gap) + 1
 
     def observe(self, value) -> None:
         self.observe_many((value,))
 
     def observe_many(self, values) -> None:
         """Record an iterable (or numpy array) of observations at once."""
-        values = getattr(values, "tolist", lambda: values)()
+        if not isinstance(values, np.ndarray):
+            values = list(values)
+        arr = np.asarray(values, dtype=np.float64).reshape(-1)
+        if not arr.size:
+            return
+        distinct, tallies = np.unique(arr, return_counts=True)
         with self._lock:
+            seen = self.count
+            self.count += arr.size
+            self.total += float(arr.sum())
+            lo, hi = float(distinct[0]), float(distinct[-1])
+            self.min = lo if self.min is None else min(self.min, lo)
+            self.max = hi if self.max is None else max(self.max, hi)
+            for v, c in zip(distinct.tolist(), tallies.tolist()):
+                self.buckets[_bucket_label(v)] += c
             samples = self._samples
-            for v in values:
-                f = float(v)
-                self.count += 1
-                self.total += f
-                if self.min is None or f < self.min:
-                    self.min = f
-                if self.max is None or f > self.max:
-                    self.max = f
-                self.buckets[_bucket_label(v)] += 1
-                if len(samples) < RESERVOIR_SIZE:
-                    samples.append(f)
-                else:
-                    j = self._rng.randrange(self.count)
-                    if j < RESERVOIR_SIZE:
-                        samples[j] = f
+            samples.extend(arr[: RESERVOIR_SIZE - len(samples)].tolist())
+            while self._next <= self.count:
+                slot = self._rng.randrange(RESERVOIR_SIZE)
+                samples[slot] = float(arr[self._next - seen - 1])
+                self._skip()
 
     @property
     def mean(self):

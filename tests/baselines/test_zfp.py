@@ -1,5 +1,7 @@
 """Tests for the ZFP baseline (transform + bit-plane coding)."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -165,6 +167,25 @@ class TestZFPBehaviour:
         for mode in ("fast", "embedded"):
             r = zfp_decompress(zfp_compress(d, 1e20, mode=mode))
             assert np.abs(d.astype(np.float64) - r.astype(np.float64)).max() <= 1e20
+
+    @pytest.mark.parametrize("mode", ["fast", "embedded"])
+    def test_float64_subnormal_blocks_fixed_accuracy(self, mode):
+        # Block maxima below 2^-1022 need a fixed-point scale above
+        # 2^1023; scaling the values directly keeps it finite.
+        scales = np.array([1e-310, 1e-320, 1.0, 1e-300])
+        d = (RNG.normal(size=(4, 16)) * scales[:, None]).reshape(-1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = zfp_decompress(zfp_compress(d, 1e-312, mode=mode))
+        assert np.abs(d - r).max() <= 1e-312
+
+    def test_float64_subnormal_blocks_fixed_rate(self):
+        d = RNG.normal(size=64) * 1e-310
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = zfp_decompress(zfp_compress(d, 1.0, mode="fixed-rate", rate=32))
+        assert np.isfinite(r).all()
+        assert np.abs(d - r).max() <= 1e-3 * np.abs(d).max()
 
 
 @settings(max_examples=40, deadline=None)

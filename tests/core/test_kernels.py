@@ -9,12 +9,15 @@ boundaries must not show in the stream, and the arena must stay
 bounded by the batch size whatever the input size.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.codec import CodecConfig, SZxCodec
 from repro.core import kernels
 from repro.core.api import resolve_error_bound
+from repro.core.constants import FLOAT32, FLOAT64
 from repro.core.errors import PayloadFormatError
 from repro.core.kernels import (
     DECODE_CHAIN,
@@ -22,10 +25,17 @@ from repro.core.kernels import (
     KernelArena,
     compress_blocks,
     decompress_blocks,
+    _unpack_lead_rows,
     default_arena,
+    encode_batch,
 )
-from repro.core.scalar import compress_scalar, decompress_scalar
-from repro.core.stream import parse_stream
+from repro.core.reqbits import required_bytes
+from repro.core.scalar import (
+    _encode_nonconstant_block,
+    compress_scalar,
+    decompress_scalar,
+)
+from repro.core.stream import lead_section_size, parse_stream, payload_bound
 
 RNG = np.random.default_rng(1234)
 
@@ -324,3 +334,140 @@ class TestCorruptionInEveryBatch:
         stream[tail_start + 1 + 4] ^= 1  # the tail's first lead byte
         with pytest.raises(PayloadFormatError):
             decompress_blocks(parse_stream(bytes(stream)))
+
+
+# -- payload emission ---------------------------------------------------------
+
+E = 2.0**-20  # absolute bound of the emission tests (an exact power of two)
+
+
+def _radius_for(req, traits):
+    """A block radius whose required length under bound E is *req*."""
+    return math.ldexp(1.5, req - traits.se_bits - 1 - 20)
+
+
+def _walk(rng, radius, bs, traits):
+    """*bs* values within +-radius whose successive words share every
+    number of leading bytes: exact repeats, fresh draws, and relative
+    steps of 2^-k across the whole mantissa."""
+    out = np.empty(bs)
+    x = rng.uniform(-radius, radius)
+    for i in range(bs):
+        u = rng.random()
+        if u < 0.3:
+            x = rng.uniform(-radius, radius)
+        elif u >= 0.45:
+            step = math.ldexp(x, -int(rng.integers(1, traits.mant_bits + 8)))
+            x = min(max(x + step * rng.choice((-1, 1)), -radius), radius)
+        out[i] = x
+    return out
+
+
+def _emission_batch(traits, bs, reqs, seed):
+    """One block per entry of *reqs*: (body, mu, radius) for encode_batch."""
+    rng = np.random.default_rng(seed)
+    radius = np.array([_radius_for(r, traits) for r in reqs])
+    mu = rng.normal(size=len(reqs)).astype(traits.dtype)
+    body = np.stack(
+        [mu[i] + _walk(rng, radius[i], bs, traits) for i in range(len(reqs))]
+    ).astype(traits.dtype)
+    return body, mu, radius
+
+
+def _reqs(traits, per_level=1):
+    """Required lengths covering every nbytes: the SE minimum (nbytes 2;
+    nbytes 1 is unreachable because SE > 8 bits), each byte boundary, a
+    mid-byte length, and the lossless fullbits."""
+    reqs = [traits.se_bits]
+    for nb in range(2, traits.itemsize + 1):
+        reqs += [8 * nb - 3, 8 * nb] * per_level
+    return [max(r, traits.se_bits) for r in reqs]
+
+
+def _payload_leads(payload, bs, traits):
+    """(nbytes, lead codes) parsed back out of one block's payload."""
+    nb = int(required_bytes(payload[0]))
+    lead_bytes = lead_section_size(bs, traits)
+    packed = np.frombuffer(payload, np.uint8)[1 + traits.itemsize :][:lead_bytes]
+    return nb, _unpack_lead_rows(packed[None, :], traits.lead_code_bits, bs)[0]
+
+
+def _encode_and_compare(traits, body, mu, radius):
+    """encode_batch vs the scalar block encoder, block by block."""
+    m, bs = body.shape
+    out = np.empty(payload_bound(m * bs, m, bs, traits), np.uint8)
+    zsizes = encode_batch(body, mu, radius, E, traits, out=out, arena=KernelArena())
+    assert zsizes.dtype == np.int64 and zsizes.shape == (m,)
+    bounds = np.concatenate([[0], np.cumsum(zsizes)])
+    payloads = []
+    for i in range(m):
+        expect = _encode_nonconstant_block(body[i], mu[i], radius[i], E)
+        got = out[bounds[i] : bounds[i + 1]].tobytes()
+        assert got == expect, f"block {i} (req {expect[0]}) differs"
+        payloads.append(got)
+    return payloads
+
+
+TRAITS = (FLOAT32, FLOAT64)
+
+
+class TestPayloadEmission:
+    """The one-compaction encoder against the per-value scalar encoder."""
+
+    @pytest.mark.parametrize("traits", TRAITS, ids=["f32", "f64"])
+    def test_every_lead_nbytes_pair(self, traits):
+        bs = 128
+        body, mu, radius = _emission_batch(traits, bs, _reqs(traits, 2), seed=7)
+        seen = set()
+        for payload in _encode_and_compare(traits, body, mu, radius):
+            nb, leads = _payload_leads(payload, bs, traits)
+            seen.update((int(lead), nb) for lead in leads)
+        expect = {
+            (lead, nb)
+            for nb in range(2, traits.itemsize + 1)
+            for lead in range(min(nb, traits.max_lead) + 1)
+        }
+        assert seen == expect
+
+    @pytest.mark.parametrize("traits", TRAITS, ids=["f32", "f64"])
+    @pytest.mark.parametrize("bs", [1, 7, 128, 4096])
+    def test_block_sizes(self, traits, bs):
+        reqs = _reqs(traits)[:: 1 if bs < 4096 else 3]  # the scalar oracle is slow
+        body, mu, radius = _emission_batch(traits, bs, reqs, seed=bs)
+        _encode_and_compare(traits, body, mu, radius)
+
+    @pytest.mark.parametrize("traits", TRAITS, ids=["f32", "f64"])
+    @pytest.mark.parametrize("which", ["min", "lossless"])
+    def test_single_block_batch(self, traits, which):
+        req = traits.se_bits if which == "min" else traits.fullbits
+        body, mu, radius = _emission_batch(traits, 7, [req], seed=3)
+        [payload] = _encode_and_compare(traits, body, mu, radius)
+        assert int(required_bytes(payload[0])) == (
+            2 if which == "min" else traits.itemsize
+        )
+
+    @pytest.mark.parametrize("traits", TRAITS, ids=["f32", "f64"])
+    def test_lossless_fallback_forces_mu_to_zero(self, traits):
+        body, mu, radius = _emission_batch(traits, 128, [traits.fullbits] * 3, seed=5)
+        assert (mu != 0).all()
+        for payload in _encode_and_compare(traits, body, mu, radius):
+            assert payload[0] == traits.fullbits
+            assert payload[1 : 1 + traits.itemsize] == bytes(traits.itemsize)
+
+    @pytest.mark.parametrize("traits", TRAITS, ids=["f32", "f64"])
+    @pytest.mark.parametrize("nb", ["uniform-min", "uniform-max"])
+    def test_uniform_nbytes_batch(self, traits, nb):
+        req = traits.se_bits if nb == "uniform-min" else traits.fullbits - 3
+        body, mu, radius = _emission_batch(traits, 64, [req] * 5, seed=11)
+        _encode_and_compare(traits, body, mu, radius)
+
+    @pytest.mark.parametrize("traits", TRAITS, ids=["f32", "f64"])
+    @pytest.mark.parametrize("bs", [1, 7, 128, 4096])
+    def test_full_stream_matches_scalar(self, traits, bs):
+        reqs = _reqs(traits)[:: 1 if bs < 4096 else 3]
+        body, _, _ = _emission_batch(traits, bs, reqs, seed=bs + 1)
+        data = np.concatenate([body.reshape(-1), body[0, : bs // 2]])  # ragged tail
+        fused = compress_blocks(data, E, bs).to_bytes()
+        assert fused == compress_scalar(data, E, bs).to_bytes()
+        recon = decompress_blocks(parse_stream(fused))
+        assert np.abs(recon.astype(np.float64) - data).max() <= E
