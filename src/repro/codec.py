@@ -23,9 +23,9 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 
 from . import observe
-from .core.api import _MODES, compress_components
+from .core.api import _MODES, _check_input, resolve_error_bound_info
 from .core.constants import DEFAULT_BLOCK_SIZE
-from .core.kernels import decompress_blocks
+from .core.kernels import compress_blocks, decompress_blocks
 from .core.stream import parse_stream
 from .parallel.backends import BACKENDS, UnknownBackendError, resolve_backend
 
@@ -118,36 +118,26 @@ class SZxCodec:
             "szx.compress", bytes_in=int(arr.nbytes),
             workers=cfg.workers, backend=cfg.backend,
         ) as sp:
+            arr = _check_input(arr)
+            with observe.span("resolve_bound"):
+                abs_bound = resolve_error_bound_info(
+                    arr, cfg.err_bound, cfg.mode
+                ).abs_bound
+            kw = dict(block_size=cfg.block_size, checksum=cfg.checksum)
             if cfg.workers > 1 and resolve_backend(cfg.backend) == "process":
                 from .parallel.procpool import compress_components_procpool
 
                 components = compress_components_procpool(
-                    arr,
-                    cfg.err_bound,
-                    mode=cfg.mode,
-                    block_size=cfg.block_size,
-                    n_procs=cfg.workers,
-                    checksum=cfg.checksum,
+                    arr, abs_bound, n_procs=cfg.workers, **kw
                 )
             elif cfg.workers > 1:
                 from .parallel.omp import compress_components_parallel
 
                 components = compress_components_parallel(
-                    arr,
-                    cfg.err_bound,
-                    mode=cfg.mode,
-                    block_size=cfg.block_size,
-                    workers=cfg.workers,
-                    checksum=cfg.checksum,
+                    arr, abs_bound, workers=cfg.workers, **kw
                 )
             else:
-                components = compress_components(
-                    arr,
-                    cfg.err_bound,
-                    mode=cfg.mode,
-                    block_size=cfg.block_size,
-                    checksum=cfg.checksum,
-                )
+                components = compress_blocks(arr, abs_bound, **kw)
             out = components.to_bytes()
             sp.set(bytes_out=len(out))
         return out

@@ -400,7 +400,11 @@ def decode_batch(
 
     words = cube.reshape(m, bs * itemsize).view(traits.utype).reshape(m, bs)
     words <<= shift.astype(traits.utype)[:, None]
-    return words.view(traits.dtype) + mu[:, None]
+    # A valid stream decodes finite words and μ, so the add sees no NaN.
+    # A corrupted payload without a checksum can carry NaN/inf bit
+    # patterns; decoding them to NaN is the documented outcome there.
+    with np.errstate(invalid="ignore"):
+        return words.view(traits.dtype) + mu[:, None]
 
 
 # ---------------------------------------------------------------------------

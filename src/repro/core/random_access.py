@@ -2,7 +2,8 @@
 
 The ``zsize_array`` exists so parallel decompressors can seek to any
 block (Section 6.1); the same mechanism gives *random access*: to read
-values ``[start, stop)`` only the overlapping blocks are decoded.  This
+values ``[start, stop)`` only the overlapping blocks are decoded, cut
+out of the stream by :func:`repro.core.stream.split_blocks`.  This
 is the property the paper's in-memory use cases (quantum-circuit
 simulation, Section 1) rely on — decompress the slice you need, not the
 whole state.
@@ -13,8 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .blocks import BlockLayout
-from .header import StreamHeader
-from .stream import StreamComponents, parse_stream, payload_offsets
+from .stream import parse_stream, split_blocks
 from .kernels import decompress_blocks
 
 
@@ -38,8 +38,7 @@ def decompress_range(stream: bytes, start: int, stop: int) -> np.ndarray:
     first = start // bs
     last = (stop - 1) // bs + 1  # exclusive block index
 
-    sub = _slice_components(comp, first, last)
-    decoded = decompress_blocks(sub)
+    decoded = decompress_blocks(split_blocks(comp, [first, last])[0])
     lo = start - first * bs
     return decoded[lo : lo + (stop - start)]
 
@@ -54,35 +53,3 @@ def decompress_block(stream: bytes, block_index: int) -> np.ndarray:
         )
     sl = layout.block_slice(block_index)
     return decompress_range(stream, sl.start, sl.stop)
-
-
-def _slice_components(
-    comp: StreamComponents, first: int, last: int
-) -> StreamComponents:
-    """Stream components restricted to blocks ``[first, last)``."""
-    header = comp.header
-    bs = header.block_size
-    lo = first * bs
-    hi = min(last * bs, header.n)
-
-    nonconst_cum = np.concatenate(([0], np.cumsum(comp.nonconst_mask)))
-    const_cum = np.concatenate(([0], np.cumsum(~comp.nonconst_mask)))
-    offsets = payload_offsets(comp.zsizes)
-    nc_lo, nc_hi = int(nonconst_cum[first]), int(nonconst_cum[last])
-    c_lo, c_hi = int(const_cum[first]), int(const_cum[last])
-
-    return StreamComponents(
-        header=StreamHeader(
-            traits=header.traits,
-            n=hi - lo,
-            block_size=bs,
-            err_bound=header.err_bound,
-            n_blocks=last - first,
-            n_const=c_hi - c_lo,
-            shape=(),
-        ),
-        nonconst_mask=comp.nonconst_mask[first:last],
-        const_mu=comp.const_mu[c_lo:c_hi],
-        zsizes=comp.zsizes[nc_lo:nc_hi],
-        payload=comp.payload[int(offsets[nc_lo]) : int(offsets[nc_hi])],
-    )

@@ -1,8 +1,14 @@
-"""SZx stream container: section assembly and parsing.
+"""SZx stream container: section assembly, parsing, block-range split/join.
 
-Both engines (scalar reference and vectorized) produce the same
-:class:`StreamComponents`; this module owns the byte layout so the two
-engines stay byte-identical by construction.
+The kernel chain (:mod:`repro.core.kernels`) and its test oracle
+(:mod:`repro.core.scalar`) both produce :class:`StreamComponents`; this
+module owns the byte layout, so every producer is byte-identical by
+construction.  It also owns the one format fact every composer relies
+on: blocks are independent and the ``zsize_array`` prefix sum gives any
+block range its payload start (Section 6.1), so :func:`split_blocks`
+cuts components at any block boundary and :func:`join_blocks` glues the
+parts back byte-identically.  The thread and process backends, the
+service's micro-batcher and random access all go through this pair.
 
 Sections, in order, after the header:
 
@@ -74,7 +80,8 @@ class StreamComponents:
     nonconst_mask: np.ndarray  # bool, one per block
     const_mu: np.ndarray       # data dtype, one per constant block
     zsizes: np.ndarray         # uint16, one per non-constant block
-    payload: bytes             # concatenated non-constant payloads
+    payload: bytes             # concatenated non-constant payloads (a
+                               # memoryview in split_blocks parts)
     #: How the user's bound resolved to the applied ABS bound (set by
     #: the compress path only — not serialized, None after parsing).
     bound: object | None = field(default=None, compare=False)
@@ -302,3 +309,87 @@ def payload_offsets(zsizes: np.ndarray) -> np.ndarray:
     out = np.zeros(zsizes.size + 1, dtype=np.int64)
     np.cumsum(zsizes.astype(np.int64), out=out[1:])
     return out
+
+
+def split_blocks(comp: StreamComponents, edges) -> list[StreamComponents]:
+    """Cut *comp* at block edges ``e0 <= e1 <= ... <= ek``.
+
+    Part ``i`` holds the sections of blocks ``[e_i, e_{i+1})`` with a
+    correct ``n``, ``n_blocks`` and ``n_const`` (empty runs give empty
+    parts); its header has ``shape=()`` and ``flags=0``.  Part payloads
+    are zero-copy views of ``comp.payload``.
+    """
+    header = comp.header
+    edges = [int(e) for e in edges]
+    if not edges or edges[0] < 0 or edges[-1] > header.n_blocks or any(
+        a > b for a, b in zip(edges, edges[1:])
+    ):
+        raise ValueError(
+            f"block edges {edges} are not ascending within "
+            f"[0, {header.n_blocks}]"
+        )
+    nonconst_cum = np.zeros(header.n_blocks + 1, dtype=np.int64)
+    np.cumsum(comp.nonconst_mask, out=nonconst_cum[1:])
+    nc = nonconst_cum[edges].tolist()
+    starts = payload_offsets(comp.zsizes)[nc].tolist()
+    payload = memoryview(comp.payload)
+    bs = header.block_size
+    parts = []
+    for i in range(len(edges) - 1):
+        first, last = edges[i], edges[i + 1]
+        c_lo, c_hi = first - nc[i], last - nc[i + 1]
+        parts.append(StreamComponents(
+            header=StreamHeader(
+                traits=header.traits,
+                n=min(last * bs, header.n) - min(first * bs, header.n),
+                block_size=bs,
+                err_bound=header.err_bound,
+                n_blocks=last - first,
+                n_const=c_hi - c_lo,
+            ),
+            nonconst_mask=comp.nonconst_mask[first:last],
+            const_mu=comp.const_mu[c_lo:c_hi],
+            zsizes=comp.zsizes[nc[i] : nc[i + 1]],
+            payload=payload[starts[i] : starts[i + 1]],
+        ))
+    return parts
+
+
+def join_blocks(parts, *, shape, flags: int) -> StreamComponents:
+    """Glue consecutive block-range *parts* into one stream's components.
+
+    The inverse of :func:`split_blocks`: sections concatenate, counts
+    add up, and the header takes *shape* and *flags*.  Parts must share
+    dtype, block size and bound, and only the last part holding blocks
+    may end inside one (the ragged tail).
+    """
+    if not parts:
+        raise ValueError("join_blocks needs at least one part")
+    h0 = parts[0].header
+    ragged = None
+    for i, p in enumerate(parts):
+        h = p.header
+        if (h.traits, h.block_size, h.err_bound) != (
+            h0.traits, h0.block_size, h0.err_bound
+        ):
+            raise ValueError(f"part {i} differs in dtype, block size or bound")
+        if ragged is not None and h.n_blocks:
+            raise ValueError(f"part {ragged} ends inside a block")
+        if h.n != h.n_blocks * h.block_size:
+            ragged = i
+    return StreamComponents(
+        header=StreamHeader(
+            traits=h0.traits,
+            n=sum(p.header.n for p in parts),
+            block_size=h0.block_size,
+            err_bound=h0.err_bound,
+            n_blocks=sum(p.header.n_blocks for p in parts),
+            n_const=sum(p.header.n_const for p in parts),
+            shape=tuple(int(s) for s in shape),
+            flags=flags,
+        ),
+        nonconst_mask=np.concatenate([p.nonconst_mask for p in parts]),
+        const_mu=np.concatenate([p.const_mu for p in parts]),
+        zsizes=np.concatenate([p.zsizes for p in parts]),
+        payload=b"".join(p.payload for p in parts),
+    )

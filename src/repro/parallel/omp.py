@@ -2,10 +2,12 @@
 
 Mirrors the paper's OpenMP design: Loop 1 (over blocks) is split across
 workers.  numpy kernels release the GIL, so a thread pool yields real
-speedup on multicore machines.  The compressor's merged output is
-byte-identical to the serial engine (tested), and the decompressor seeks
-each worker to its blocks with the ``zsize_array`` prefix sum — the exact
-mechanism of Section 6.1.
+speedup on multicore machines.  Cutting and merging the stream is
+:func:`repro.core.stream.split_blocks` / :func:`~repro.core.stream.join_blocks`:
+the compressor's joined output is byte-identical to the serial engine
+(tested), and the decompressor hands each worker its blocks' sections
+via the ``zsize_array`` prefix sum — the exact mechanism of Section 6.1.
+The callers resolve the error bound; the backends take it absolute.
 
 Every worker routes through the fused-kernel single entry
 (:func:`repro.core.kernels.compress_blocks` /
@@ -27,14 +29,11 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .. import observe
-from ..core.api import resolve_error_bound_info, _check_input
-from ..core.blocks import BlockLayout, validate_block_size
-from ..core.constants import DEFAULT_BLOCK_SIZE, FLAG_CHECKSUM, traits_for
-from ..core.header import StreamHeader
+from ..core.constants import DEFAULT_BLOCK_SIZE, FLAG_CHECKSUM
 from ..core.kernels import compress_blocks, decompress_blocks
-from ..core.stream import StreamComponents, payload_offsets
+from ..core.stream import StreamComponents, join_blocks
 from .backends import MAX_PROCESS_WORKERS, resolve_backend
-from .chunking import chunk_block_ranges
+from .chunking import split_input, split_stream
 
 
 def resolve_worker_count(workers, backend=None) -> int:
@@ -68,36 +67,27 @@ def resolve_worker_count(workers, backend=None) -> int:
 
 def compress_components_parallel(
     data: np.ndarray,
-    err_bound: float,
+    abs_bound: float,
     *,
-    mode: str = "abs",
     block_size: int = DEFAULT_BLOCK_SIZE,
     workers: int,
     checksum: bool = False,
 ) -> StreamComponents:
-    """Parallel SZx compression to merged (byte-identical) components."""
+    """Parallel SZx compression of checked *data* under *abs_bound*.
+
+    Each worker compresses one block run; :func:`join_blocks` merges the
+    runs into components byte-identical to the serial engine.
+    """
     workers = resolve_worker_count(workers)
-    arr = _check_input(data)
-    block_size = validate_block_size(block_size)
-    resolution = resolve_error_bound_info(arr, err_bound, mode)
-    abs_bound = resolution.abs_bound
-    flat = np.ascontiguousarray(arr).reshape(-1)
-    layout = BlockLayout(flat.size, block_size)
-
-    if layout.n_blocks == 0 or workers <= 1:
-        comp = compress_blocks(arr, abs_bound, block_size, checksum=checksum)
-        comp.bound = resolution
-        return comp
-
-    ranges = chunk_block_ranges(layout.n_blocks, workers)
+    flat, block_size, ranges = split_input(data, block_size, workers)
+    if ranges is None:
+        return compress_blocks(data, abs_bound, block_size, checksum=checksum)
 
     with observe.span(
         "szx.omp.compress", bytes_in=int(flat.nbytes), workers=len(ranges)
     ) as root:
         def work(item):
-            i, (first, last) = item
-            lo = first * block_size
-            hi = min(last * block_size, flat.size)
+            i, (lo, hi) = item
             with observe.span(
                 f"worker[{i}]", bytes_in=(hi - lo) * flat.itemsize,
                 parent=root if isinstance(root, observe.Span) else None,
@@ -109,24 +99,9 @@ def compress_components_parallel(
         with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
             parts = list(pool.map(work, enumerate(ranges)))
 
-    merged = StreamComponents(
-        header=StreamHeader(
-            traits=traits_for(arr.dtype),
-            n=flat.size,
-            block_size=block_size,
-            err_bound=float(abs_bound),
-            n_blocks=layout.n_blocks,
-            n_const=sum(p.header.n_const for p in parts),
-            shape=tuple(int(s) for s in np.shape(data)),
-            flags=FLAG_CHECKSUM if checksum else 0,
-        ),
-        nonconst_mask=np.concatenate([p.nonconst_mask for p in parts]),
-        const_mu=np.concatenate([p.const_mu for p in parts]),
-        zsizes=np.concatenate([p.zsizes for p in parts]),
-        payload=b"".join(p.payload for p in parts),
+    return join_blocks(
+        parts, shape=np.shape(data), flags=FLAG_CHECKSUM if checksum else 0
     )
-    merged.bound = resolution
-    return merged
 
 
 def decompress_components_parallel(
@@ -134,52 +109,28 @@ def decompress_components_parallel(
     *,
     workers: int,
 ) -> np.ndarray:
-    """Parallel decode of parsed *comp* using the zsize prefix sum."""
+    """Parallel decode of parsed *comp*, one block run per worker."""
     workers = resolve_worker_count(workers)
-    header = comp.header
-    if header.n_blocks == 0 or workers <= 1:
+    runs = split_stream(comp, workers)
+    if runs is None:
         return decompress_blocks(comp)
 
-    layout = BlockLayout(header.n, header.block_size)
-    offsets = payload_offsets(comp.zsizes)
-    nonconst_cum = np.concatenate(([0], np.cumsum(comp.nonconst_mask)))
-    const_cum = np.concatenate(([0], np.cumsum(~comp.nonconst_mask)))
-    ranges = chunk_block_ranges(layout.n_blocks, workers)
+    header = comp.header
     out = np.empty(header.n, dtype=header.traits.dtype)
-
     with observe.span(
-        "szx.omp.decompress", bytes_in=len(comp.payload), workers=len(ranges)
+        "szx.omp.decompress", bytes_in=len(comp.payload), workers=len(runs)
     ) as root:
         def work(item):
-            i, (first, last) = item
-            lo = first * header.block_size
-            hi = min(last * header.block_size, header.n)
-            nc_lo, nc_hi = int(nonconst_cum[first]), int(nonconst_cum[last])
-            c_lo, c_hi = int(const_cum[first]), int(const_cum[last])
-            sub = StreamComponents(
-                header=StreamHeader(
-                    traits=header.traits,
-                    n=hi - lo,
-                    block_size=header.block_size,
-                    err_bound=header.err_bound,
-                    n_blocks=last - first,
-                    n_const=c_hi - c_lo,
-                    shape=(),
-                ),
-                nonconst_mask=comp.nonconst_mask[first:last],
-                const_mu=comp.const_mu[c_lo:c_hi],
-                zsizes=comp.zsizes[nc_lo:nc_hi],
-                payload=comp.payload[int(offsets[nc_lo]) : int(offsets[nc_hi])],
-            )
+            i, (lo, part) = item
             with observe.span(
-                f"worker[{i}]", bytes_in=len(sub.payload),
+                f"worker[{i}]", bytes_in=len(part.payload),
                 parent=root if isinstance(root, observe.Span) else None,
             ) as sp:
-                out[lo:hi] = decompress_blocks(sub)
-                sp.set(bytes_out=(hi - lo) * header.traits.itemsize)
+                out[lo : lo + part.header.n] = decompress_blocks(part)
+                sp.set(bytes_out=part.header.n * header.traits.itemsize)
 
-        with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-            list(pool.map(work, enumerate(ranges)))
+        with ThreadPoolExecutor(max_workers=len(runs)) as pool:
+            list(pool.map(work, enumerate(runs)))
 
     if header.shape:
         return out.reshape(header.shape)

@@ -12,10 +12,12 @@ This module is the same Section 6.1 decomposition across *processes*:
   sized by the format's worst case (``n_values * itemsize`` mid-bytes
   plus per-block prefix and lead sections), one disjoint slice per
   worker, so results come back through shared memory too;
-* the parent stitches the per-worker sections exactly like the thread
-  merge — the ``zsize_array`` prefix sum gives every decompression
-  worker its payload start offset — so the assembled stream is
-  **byte-identical** to the serial path (enforced by
+* the parent cuts and merges the per-worker sections with the same
+  :func:`repro.core.stream.split_blocks` /
+  :func:`~repro.core.stream.join_blocks` pair as the thread backend —
+  each decompression task's payload range is the running sum of the
+  part payload lengths — so the assembled stream is **byte-identical**
+  to the serial path (enforced by
   ``tests/parallel/test_backend_differential.py``);
 * a worker death (OOM kill, segfault, injected
   :func:`repro.testing.faults.claim_kill` token) surfaces as
@@ -33,6 +35,7 @@ registry whenever :mod:`repro.observe` is enabled.
 from __future__ import annotations
 
 import atexit
+import dataclasses
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
@@ -41,13 +44,10 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 
 from .. import observe
-from ..core.api import _check_input, resolve_error_bound_info
-from ..core.blocks import BlockLayout, validate_block_size
 from ..core.constants import DEFAULT_BLOCK_SIZE, FLAG_CHECKSUM, traits_for
-from ..core.header import StreamHeader
-from ..core.stream import StreamComponents, payload_bound, payload_offsets
+from ..core.stream import StreamComponents, join_blocks, payload_bound
 from ..core.kernels import compress_blocks, decompress_blocks
-from .chunking import chunk_block_ranges
+from .chunking import split_input, split_stream
 
 # NOTE: repro.testing imports repro.parallel (the fuzz oracles exercise
 # the OMP codec), so faults must be imported lazily to avoid a cycle.
@@ -143,7 +143,9 @@ def _compress_task(task: tuple):
     try:
         flat = np.ndarray((n_values,), dtype=np.dtype(dtype_str), buffer=in_shm.buf)
         part = compress_blocks(flat[lo:hi], abs_bound, block_size)
-        payload = part.payload
+        # The payload travels through the arena; the small sections
+        # travel with the (payload-less) part.
+        payload, part.payload = part.payload, b""
         if len(payload) > arena_cap:  # impossible by payload_bound; fail loud
             raise RuntimeError(
                 f"compressed payload {len(payload)}B exceeds arena slice "
@@ -156,11 +158,8 @@ def _compress_task(task: tuple):
             arena_shm.close()
         t1 = os.times()
         return (
-            part.nonconst_mask.tobytes(),
-            part.const_mu.tobytes(),
-            part.zsizes.tobytes(),
+            part,
             len(payload),
-            int(part.header.n_const),
             _time.perf_counter() - w0,
             (t1.user - t0.user) + (t1.system - t0.system),
             os.getpid(),
@@ -172,43 +171,26 @@ def _compress_task(task: tuple):
 
 def _decompress_task(task: tuple):
     (
-        payload_name, out_name, dtype_str, total_n, block_size, err_bound,
-        lo, hi, n_blocks, mask_bytes, mu_bytes, zsize_bytes,
+        payload_name, out_name, total_n, lo, part,
         payload_lo, payload_hi, trace_ctx,
     ) = task
     import time as _time
 
     span_id = os.urandom(8).hex() if trace_ctx else ""
     w0 = _time.perf_counter()
-    dtype = np.dtype(dtype_str)
-    traits = traits_for(dtype)
     payload_shm = _attach_shm(payload_name)
     try:
         # The (compressed, small) payload slice is materialized locally;
         # the (large) reconstruction goes back through the output segment.
-        payload = bytes(payload_shm.buf[payload_lo:payload_hi])
+        part.payload = bytes(payload_shm.buf[payload_lo:payload_hi])
     finally:
         payload_shm.close()
-    mask = np.frombuffer(mask_bytes, dtype=bool)
-    sub = StreamComponents(
-        header=StreamHeader(
-            traits=traits,
-            n=hi - lo,
-            block_size=block_size,
-            err_bound=err_bound,
-            n_blocks=n_blocks,
-            n_const=int(n_blocks - mask.sum()),
-            shape=(),
-        ),
-        nonconst_mask=mask,
-        const_mu=np.frombuffer(mu_bytes, dtype=dtype),
-        zsizes=np.frombuffer(zsize_bytes, dtype=np.uint16),
-        payload=payload,
-    )
     out_shm = _attach_shm(out_name)
     try:
-        out = np.ndarray((total_n,), dtype=dtype, buffer=out_shm.buf)
-        out[lo:hi] = decompress_blocks(sub)
+        out = np.ndarray(
+            (total_n,), dtype=part.header.traits.dtype, buffer=out_shm.buf
+        )
+        out[lo : lo + part.header.n] = decompress_blocks(part)
     finally:
         out_shm.close()
     return (_time.perf_counter() - w0, 0.0, os.getpid(), span_id)
@@ -396,48 +378,37 @@ def _emit_worker_spans(root, reports, bytes_in: list) -> None:
 
 def compress_components_procpool(
     data: np.ndarray,
-    err_bound: float,
+    abs_bound: float,
     *,
-    mode: str = "abs",
     block_size: int = DEFAULT_BLOCK_SIZE,
     n_procs: int = 4,
     checksum: bool = False,
     pool: ProcPool | None = None,
 ) -> StreamComponents:
-    """Multi-process SZx compression to merged, byte-identical components.
+    """Multi-process compression of checked *data* under *abs_bound*.
 
     The input is published once as a shared-memory segment; each worker
     compresses a contiguous block range from a zero-copy view and writes
     its payload into a disjoint slice of a shared output arena.  The
-    merge step is identical to the thread backend's, so the stream that
-    :meth:`StreamComponents.to_bytes` assembles matches the serial
-    path byte for byte.
+    parts merge with :func:`join_blocks`, as on the thread backend, so
+    the stream matches the serial path byte for byte.
     """
     from .omp import resolve_worker_count
 
     n_procs = resolve_worker_count(n_procs, backend="process")
-    arr = _check_input(data)
-    block_size = validate_block_size(block_size)
-    resolution = resolve_error_bound_info(arr, err_bound, mode)
-    abs_bound = resolution.abs_bound
-    flat = np.ascontiguousarray(arr).reshape(-1)
-    layout = BlockLayout(flat.size, block_size)
-    traits = traits_for(arr.dtype)
+    flat, block_size, ranges = split_input(data, block_size, n_procs)
+    if ranges is None:
+        return compress_blocks(data, abs_bound, block_size, checksum=checksum)
 
-    if layout.n_blocks == 0 or n_procs <= 1:
-        comp = compress_blocks(arr, abs_bound, block_size, checksum=checksum)
-        comp.bound = resolution
-        return comp
-
-    ranges = chunk_block_ranges(layout.n_blocks, n_procs)
     if pool is None:
         pool = default_pool(len(ranges))
 
     # Per-worker arena slices, each sized by the format's worst case.
+    traits = traits_for(flat.dtype)
     caps, arena_offs, total_cap = [], [], 0
-    for first, last in ranges:
-        n_vals = min(last * block_size, flat.size) - first * block_size
-        cap = payload_bound(n_vals, last - first, block_size, traits)
+    for lo, hi in ranges:
+        n_blocks = -(-(hi - lo) // block_size)
+        cap = payload_bound(hi - lo, n_blocks, block_size, traits)
         arena_offs.append(total_cap)
         caps.append(cap)
         total_cap += cap
@@ -454,9 +425,7 @@ def compress_components_procpool(
         if flat.nbytes:
             np.ndarray(flat.shape, dtype=flat.dtype, buffer=in_shm.buf)[:] = flat
         tasks, bytes_in = [], []
-        for i, (first, last) in enumerate(ranges):
-            lo = first * block_size
-            hi = min(last * block_size, flat.size)
+        for i, (lo, hi) in enumerate(ranges):
             bytes_in.append((hi - lo) * flat.itemsize)
             tasks.append((
                 in_shm.name, arena_shm.name, flat.dtype.str, flat.size,
@@ -468,67 +437,42 @@ def compress_components_procpool(
         ) as root:
             ctx = _task_trace_ctx(root)
             results = pool.run(_compress_task, [t + (ctx,) for t in tasks])
-            _emit_worker_spans(root, [r[5:9] for r in results], bytes_in)
+            _emit_worker_spans(root, [r[2:6] for r in results], bytes_in)
 
-        payload = b"".join(
-            bytes(arena_shm.buf[arena_offs[i] : arena_offs[i] + results[i][3]])
-            for i in range(len(ranges))
-        )
+        parts = []
+        for off, (part, size, *_) in zip(arena_offs, results):
+            part.payload = bytes(arena_shm.buf[off : off + size])
+            parts.append(part)
     finally:
         _destroy_shm(in_shm)
         _destroy_shm(arena_shm)
 
-    merged = StreamComponents(
-        header=StreamHeader(
-            traits=traits,
-            n=flat.size,
-            block_size=block_size,
-            err_bound=float(abs_bound),
-            n_blocks=layout.n_blocks,
-            n_const=sum(r[4] for r in results),
-            shape=tuple(int(s) for s in np.shape(data)),
-            flags=FLAG_CHECKSUM if checksum else 0,
-        ),
-        nonconst_mask=np.frombuffer(
-            b"".join(r[0] for r in results), dtype=bool
-        ).copy(),
-        const_mu=np.frombuffer(
-            b"".join(r[1] for r in results), dtype=traits.dtype
-        ).copy(),
-        zsizes=np.frombuffer(
-            b"".join(r[2] for r in results), dtype=np.uint16
-        ).copy(),
-        payload=payload,
+    return join_blocks(
+        parts, shape=np.shape(data), flags=FLAG_CHECKSUM if checksum else 0
     )
-    merged.bound = resolution
-    return merged
 
 
 def decompress_components_procpool(
     comp: StreamComponents, *, n_procs: int = 4, pool: ProcPool | None = None
 ) -> np.ndarray:
-    """Multi-process decode of parsed *comp* using the zsize prefix sum.
+    """Multi-process decode of parsed *comp*, one block run per worker.
 
     The payload section is published as one shared segment; every worker
-    seeks to its own byte range with the Section 6.1 prefix-sum offsets
-    and writes its reconstructed values into a shared output array, so
+    reads its own byte range (the running sum of the
+    :func:`~repro.core.stream.split_blocks` part payload lengths) and
+    writes its reconstructed values into a shared output array, so
     neither direction pickles array payloads.
     """
     from .omp import resolve_worker_count
 
     n_procs = resolve_worker_count(n_procs, backend="process")
-    header = comp.header
-    if header.n_blocks == 0 or n_procs <= 1:
+    runs = split_stream(comp, n_procs)
+    if runs is None:
         return decompress_blocks(comp)
 
-    layout = BlockLayout(header.n, header.block_size)
-    offsets = payload_offsets(comp.zsizes)
-    nonconst_cum = np.concatenate(([0], np.cumsum(comp.nonconst_mask)))
-    const_cum = np.concatenate(([0], np.cumsum(~comp.nonconst_mask)))
-    ranges = chunk_block_ranges(layout.n_blocks, n_procs)
+    header = comp.header
     if pool is None:
-        pool = default_pool(len(ranges))
-    dtype = header.traits.dtype
+        pool = default_pool(len(runs))
 
     payload_shm = _create_shm(len(comp.payload))
     try:
@@ -541,33 +485,27 @@ def decompress_components_procpool(
     try:
         if comp.payload:
             payload_shm.buf[: len(comp.payload)] = comp.payload
-        tasks, bytes_in = [], []
-        for first, last in ranges:
-            lo = first * header.block_size
-            hi = min(last * header.block_size, header.n)
-            nc_lo, nc_hi = int(nonconst_cum[first]), int(nonconst_cum[last])
-            c_lo, c_hi = int(const_cum[first]), int(const_cum[last])
-            bytes_in.append(int(offsets[nc_hi] - offsets[nc_lo]))
+        tasks, bytes_in, payload_lo = [], [], 0
+        for lo, part in runs:
+            payload_hi = payload_lo + len(part.payload)
+            bytes_in.append(payload_hi - payload_lo)
             tasks.append((
-                payload_shm.name, out_shm.name, dtype.str, header.n,
-                header.block_size, header.err_bound, lo, hi, last - first,
-                comp.nonconst_mask[first:last].tobytes(),
-                comp.const_mu[c_lo:c_hi].tobytes(),
-                np.ascontiguousarray(
-                    comp.zsizes[nc_lo:nc_hi], dtype=np.uint16
-                ).tobytes(),
-                int(offsets[nc_lo]), int(offsets[nc_hi]),
+                payload_shm.name, out_shm.name, header.n, lo,
+                dataclasses.replace(part, payload=b""), payload_lo, payload_hi,
             ))
+            payload_lo = payload_hi
 
         with observe.span(
             "szx.procpool.decompress", bytes_in=len(comp.payload),
-            workers=len(ranges),
+            workers=len(runs),
         ) as root:
             ctx = _task_trace_ctx(root)
             results = pool.run(_decompress_task, [t + (ctx,) for t in tasks])
             _emit_worker_spans(root, results, bytes_in)
 
-        out = np.ndarray((header.n,), dtype=dtype, buffer=out_shm.buf).copy()
+        out = np.ndarray(
+            (header.n,), dtype=header.traits.dtype, buffer=out_shm.buf
+        ).copy()
     finally:
         _destroy_shm(payload_shm)
         _destroy_shm(out_shm)

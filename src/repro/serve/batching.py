@@ -5,10 +5,11 @@ section packing) dominates for small arrays, so the service groups
 compatible jobs that arrive within a short window and compresses their
 *concatenation* with a single :func:`~repro.core.kernels.compress_blocks`
 call.  Because SZx blocks are encoded independently under a fixed
-absolute bound, the concatenated components split back into per-job
-streams that are **byte-identical** to compressing each job alone — the
-same property the OpenMP merge in :mod:`repro.parallel.omp` exploits in
-the other direction.
+absolute bound, :func:`repro.core.stream.split_blocks` cuts the batch's
+components at the job edges into per-job streams that are
+**byte-identical** to compressing each job alone — the same property
+the parallel backends' :func:`~repro.core.stream.join_blocks` merge
+exploits in the other direction.
 
 Compatibility (the *batch key*): same resolved absolute bound, block
 size, and dtype.  REL bounds are resolved per job at submit time, so
@@ -22,11 +23,13 @@ fragment batches.
 
 from __future__ import annotations
 
+import dataclasses
+from itertools import accumulate
+
 import numpy as np
 
 from ..core.constants import FLAG_CHECKSUM
-from ..core.header import StreamHeader
-from ..core.stream import StreamComponents, payload_offsets
+from ..core.stream import split_blocks
 from ..core.kernels import compress_blocks
 
 #: Coalescing window: how long the first job of a batch may wait for
@@ -52,60 +55,21 @@ def compress_batch(jobs) -> list[bytes]:
     Every job except possibly the last must be block-aligned (enforced
     by :class:`MicroBatcher`); all must share the same batch key.
     """
-    if len(jobs) == 1:
-        job = jobs[0]
-        comp = compress_blocks(job.array, job.abs_bound, job.block_size)
-        return [_reheaded(comp, job, 0, comp.header.n_blocks,
-                          nc_lo=0, nc_hi=int(comp.zsizes.size),
-                          c_lo=0, c_hi=int(comp.const_mu.size),
-                          offsets=payload_offsets(comp.zsizes))]
-
     block_size = jobs[0].block_size
     flat = np.concatenate(
         [np.ascontiguousarray(j.array).reshape(-1) for j in jobs]
     )
     comp = compress_blocks(flat, jobs[0].abs_bound, block_size)
-
-    nonconst_cum = np.concatenate(([0], np.cumsum(comp.nonconst_mask)))
-    const_cum = np.concatenate(([0], np.cumsum(~comp.nonconst_mask)))
-    offsets = payload_offsets(comp.zsizes)
-
+    edges = [0, *accumulate(-(-j.array.size // block_size) for j in jobs)]
     streams = []
-    first = 0
-    for job in jobs:
-        n_blocks = (job.array.size + block_size - 1) // block_size
-        last = first + n_blocks
-        streams.append(
-            _reheaded(
-                comp, job, first, last,
-                nc_lo=int(nonconst_cum[first]), nc_hi=int(nonconst_cum[last]),
-                c_lo=int(const_cum[first]), c_hi=int(const_cum[last]),
-                offsets=offsets,
-            )
-        )
-        first = last
-    return streams
-
-
-def _reheaded(comp, job, first, last, *, nc_lo, nc_hi, c_lo, c_hi, offsets) -> bytes:
-    """Assemble the stream for *job*'s block range of batch *comp*."""
-    sub = StreamComponents(
-        header=StreamHeader(
-            traits=comp.header.traits,
-            n=int(job.array.size),
-            block_size=comp.header.block_size,
-            err_bound=comp.header.err_bound,
-            n_blocks=last - first,
-            n_const=(last - first) - (nc_hi - nc_lo),
-            shape=tuple(int(s) for s in job.array.shape),
+    for job, part in zip(jobs, split_blocks(comp, edges)):
+        part.header = dataclasses.replace(
+            part.header,
+            shape=job.array.shape,
             flags=FLAG_CHECKSUM if job.checksum else 0,
-        ),
-        nonconst_mask=comp.nonconst_mask[first:last],
-        const_mu=comp.const_mu[c_lo:c_hi],
-        zsizes=comp.zsizes[nc_lo:nc_hi],
-        payload=comp.payload[int(offsets[nc_lo]) : int(offsets[nc_hi])],
-    )
-    return sub.to_bytes()
+        )
+        streams.append(part.to_bytes())
+    return streams
 
 
 class _Group:

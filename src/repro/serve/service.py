@@ -435,7 +435,6 @@ class CompressionService:
             return compress_components_procpool(
                 job.array,
                 job.abs_bound,
-                mode="abs",
                 block_size=job.block_size,
                 n_procs=self.workers,
                 checksum=job.checksum,
@@ -475,7 +474,6 @@ class CompressionService:
                         codec = SZxCodec(
                             CodecConfig(
                                 err_bound=job.abs_bound,
-                                mode="abs",
                                 block_size=job.block_size,
                                 checksum=job.checksum,
                             )
