@@ -55,7 +55,6 @@ def _run_phase(
     workers: int,
     backend: str,
     queue_capacity: int,
-    window_s: float,
     rate_jobs_s: float,
     warmup: int = 0,
 ) -> dict:
@@ -77,7 +76,6 @@ def _run_phase(
         overflow="block",
         submit_timeout_s=None,
         batching=batching,
-        batch_window_s=window_s,
     ) as svc:
         if warmup > 0:
             warm_futs = [
@@ -182,7 +180,6 @@ def run_serve_load(
     workers: int = 4,
     backend: str = "thread",
     queue_capacity: int = 512,
-    window_s: float = 0.002,
     rate_jobs_s: float = 0.0,
     seed: int = 0,
     warmup: int = 0,
@@ -204,7 +201,6 @@ def run_serve_load(
         workers=workers,
         backend=backend,
         queue_capacity=queue_capacity,
-        window_s=window_s,
         rate_jobs_s=rate_jobs_s,
         warmup=warmup,
     )
@@ -228,7 +224,6 @@ def run_serve_load(
             "workers": workers,
             "backend": backend,
             "queue_capacity": queue_capacity,
-            "batch_window_ms": window_s * 1e3,
             "rate_jobs_s": rate_jobs_s,
             "seed": seed,
             "warmup": warmup,
@@ -267,7 +262,7 @@ def format_serve_report(report: dict) -> str:
     lines.append(
         f"serve-bench: {c['jobs']} jobs x {c['values_per_job']} values, "
         f"{c['workers']} {c.get('backend', 'thread')} worker(s), "
-        f"queue {c['queue_capacity']}, window {c['batch_window_ms']:g} ms"
+        f"queue {c['queue_capacity']}"
         + (f", warmup {c['warmup']}" if c.get("warmup") else "")
     )
     for key in ("batched", "unbatched"):

@@ -552,7 +552,6 @@ def _cmd_serve_bench(args) -> int:
         workers=args.workers,
         backend=getattr(args, "backend", "thread"),
         queue_capacity=args.queue_capacity,
-        window_s=args.window_ms / 1e3,
         rate_jobs_s=args.rate,
         seed=args.seed,
         warmup=args.warmup,
@@ -1155,9 +1154,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="service execution backend (process = shared-memory pool)",
     )
     psb.add_argument("--queue-capacity", type=int, default=512)
-    psb.add_argument(
-        "--window-ms", type=float, default=2.0, help="micro-batch coalescing window"
-    )
     psb.add_argument(
         "--rate", type=float, default=0.0,
         help="offered load in jobs/s (0 = submit as fast as possible)",

@@ -20,7 +20,7 @@ Quick use::
 Drive a synthetic load from the CLI with ``szx serve-bench``.
 """
 
-from .batching import MicroBatcher, compress_batch
+from .batching import coalesce, compress_batch
 from .errors import (
     JobTimeoutError,
     ServeError,
@@ -35,7 +35,7 @@ from .streaming import map_pipelined
 __all__ = [
     "CompressionService",
     "BoundedQueue",
-    "MicroBatcher",
+    "coalesce",
     "compress_batch",
     "map_pipelined",
     "ServeError",

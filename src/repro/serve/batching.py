@@ -1,15 +1,16 @@
 """Micro-batching: coalesce small compress jobs into one kernel call.
 
-Python-side per-call overhead (bound resolution, header assembly,
-section packing) dominates for small arrays, so the service groups
-compatible jobs that arrive within a short window and compresses their
-*concatenation* with a single :func:`~repro.core.kernels.compress_blocks`
-call.  Because SZx blocks are encoded independently under a fixed
-absolute bound, :func:`repro.core.stream.split_blocks` cuts the batch's
-components at the job edges into per-job streams that are
-**byte-identical** to compressing each job alone — the same property
-the parallel backends' :func:`~repro.core.stream.join_blocks` merge
-exploits in the other direction.
+Python-side per-call overhead (header assembly, section packing)
+dominates for small arrays, so when jobs queue up behind busy workers
+the service groups the compatible ones (:func:`coalesce`) and
+compresses their *concatenation* with a single
+:func:`~repro.core.kernels.compress_blocks` call.  Because SZx blocks
+are encoded independently under a fixed absolute bound,
+:func:`repro.core.stream.split_blocks` cuts the batch's components at
+the job edges into per-job streams that are **byte-identical** to
+compressing each job alone — the same property the parallel backends'
+:func:`~repro.core.stream.join_blocks` merge exploits in the other
+direction.
 
 Compatibility (the *batch key*): same resolved absolute bound, block
 size, and dtype.  REL bounds are resolved per job at submit time, so
@@ -32,11 +33,9 @@ from ..core.constants import FLAG_CHECKSUM
 from ..core.stream import split_blocks
 from ..core.kernels import compress_blocks
 
-#: Coalescing window: how long the first job of a batch may wait for
-#: companions before the batch is dispatched anyway.
-DEFAULT_BATCH_WINDOW_S = 0.002
 DEFAULT_BATCH_MAX_JOBS = 64
-DEFAULT_BATCH_MAX_VALUES = 1 << 20
+#: Values cap per batch: bounds one kernel call's concatenated input.
+MAX_BATCH_VALUES = 1 << 20
 
 
 def batch_key(job):
@@ -53,7 +52,7 @@ def compress_batch(jobs) -> list[bytes]:
     """One kernel call for all *jobs*; per-job byte-identical streams.
 
     Every job except possibly the last must be block-aligned (enforced
-    by :class:`MicroBatcher`); all must share the same batch key.
+    by :func:`coalesce`); all must share the same batch key.
     """
     block_size = jobs[0].block_size
     flat = np.concatenate(
@@ -72,81 +71,38 @@ def compress_batch(jobs) -> list[bytes]:
     return streams
 
 
-class _Group:
-    __slots__ = ("jobs", "values", "opened_at")
+def coalesce(jobs, *, max_jobs: int,
+             max_values: int = MAX_BATCH_VALUES) -> list[list]:
+    """Cut a drained backlog into dispatch units, one per worker call.
 
-    def __init__(self, opened_at: float):
-        self.jobs: list = []
-        self.values = 0
-        self.opened_at = opened_at
-
-
-class MicroBatcher:
-    """Accumulates batchable jobs per key until a window/size trigger.
-
-    Driven by the dispatcher thread, which supplies the clock: ``add``
-    returns any batches sealed by the new job (size cap hit, or the job
-    is unaligned and must close its batch); ``pop_expired`` returns the
-    groups whose window has elapsed; ``next_deadline`` tells the
-    dispatcher how long it may sleep waiting for more jobs.
+    Batchable jobs are filed under their :func:`batch_key`; a group is
+    sealed once it holds *max_jobs* jobs or *max_values* values, or when
+    an unaligned job joins it (that job must be its last member), and
+    the next compatible job opens a fresh group.  Every other job is a
+    unit of its own.  Units come back in the FIFO order of their first
+    member, so decompress and non-batchable jobs keep their queue order.
     """
-
-    def __init__(
-        self,
-        *,
-        window_s: float = DEFAULT_BATCH_WINDOW_S,
-        max_jobs: int = DEFAULT_BATCH_MAX_JOBS,
-        max_values: int = DEFAULT_BATCH_MAX_VALUES,
-    ):
-        if window_s < 0:
-            raise ValueError("window_s must be >= 0")
-        if max_jobs < 1 or max_values < 1:
-            raise ValueError("batch size caps must be >= 1")
-        self.window_s = float(window_s)
-        self.max_jobs = int(max_jobs)
-        self.max_values = int(max_values)
-        self._groups: dict = {}
-
-    @property
-    def pending(self) -> int:
-        return sum(len(g.jobs) for g in self._groups.values())
-
-    def add(self, job, now: float) -> list[list]:
-        """File *job* under its key; return batches sealed by it."""
+    if max_jobs < 1 or max_values < 1:
+        raise ValueError("batch size caps must be >= 1")
+    units: list[list] = []
+    open_groups: dict = {}
+    values: dict = {}
+    for job in jobs:
+        if not is_batchable(job):
+            units.append([job])
+            continue
         key = batch_key(job)
-        group = self._groups.get(key)
+        group = open_groups.get(key)
         if group is None:
-            group = self._groups[key] = _Group(now)
-        group.jobs.append(job)
-        group.values += int(job.array.size)
-        sealed = (
-            len(group.jobs) >= self.max_jobs
-            or group.values >= self.max_values
+            group = open_groups[key] = []
+            units.append(group)
+            values[key] = 0
+        group.append(job)
+        values[key] += int(job.array.size)
+        if (
+            len(group) >= max_jobs
+            or values[key] >= max_values
             or job.array.size % job.block_size != 0
-        )
-        if sealed:
-            del self._groups[key]
-            return [group.jobs]
-        return []
-
-    def next_deadline(self) -> float | None:
-        """Earliest instant any open group's window expires."""
-        if not self._groups:
-            return None
-        return min(g.opened_at for g in self._groups.values()) + self.window_s
-
-    def pop_expired(self, now: float) -> list[list]:
-        """Close and return every group whose window has elapsed."""
-        out = []
-        for key in [
-            k for k, g in self._groups.items()
-            if now - g.opened_at >= self.window_s
-        ]:
-            out.append(self._groups.pop(key).jobs)
-        return out
-
-    def pop_all(self) -> list[list]:
-        """Close and return every open group (drain/shutdown path)."""
-        out = [g.jobs for g in self._groups.values()]
-        self._groups.clear()
-        return out
+        ):
+            del open_groups[key]
+    return units

@@ -10,8 +10,10 @@ two admission policies the service exposes map directly onto ``put``:
 * **block-with-deadline** — ``put(item, block=True, timeout=t)`` waits
   up to *t* seconds for space, then raises the same error.
 
-``close()`` stops admissions; consumers keep draining until the queue
-is empty, after which ``get`` raises
+``get`` waits for one item and ``take_all`` takes whatever is queued
+without waiting — the dispatcher's two moves.  ``close()`` stops
+admissions; consumers keep draining until the queue is empty, after
+which ``get`` raises
 :class:`~repro.serve.errors.ServiceClosedError` — the dispatcher's exit
 signal.  The current depth feeds the ``serve.queue.depth`` gauge when
 observability is enabled.
@@ -25,10 +27,6 @@ from collections import deque
 
 from .. import observe
 from .errors import ServiceClosedError, ServiceOverloadedError
-
-
-class QueueEmpty(Exception):
-    """``get`` timed out with nothing to hand out (internal signal)."""
 
 
 class BoundedQueue:
@@ -86,28 +84,30 @@ class BoundedQueue:
             self._record_depth()
             self._not_empty.notify()
 
-    def get(self, timeout: float | None = None):
-        """Dequeue one item.
+    def get(self):
+        """Dequeue one item, waiting for it.
 
-        Raises :class:`QueueEmpty` on timeout and
-        :class:`~repro.serve.errors.ServiceClosedError` once the queue
-        is closed *and* drained.
+        Raises :class:`~repro.serve.errors.ServiceClosedError` once the
+        queue is closed *and* drained.
         """
         with self._lock:
-            deadline = None if timeout is None else time.monotonic() + timeout
             while not self._items:
                 if self._closed:
                     raise ServiceClosedError("queue closed and drained")
-                remaining = None
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        raise QueueEmpty
-                self._not_empty.wait(remaining)
+                self._not_empty.wait()
             item = self._items.popleft()
             self._record_depth()
             self._not_full.notify()
             return item
+
+    def take_all(self) -> list:
+        """Dequeue everything queued right now, without waiting."""
+        with self._lock:
+            items = list(self._items)
+            self._items.clear()
+            self._record_depth()
+            self._not_full.notify_all()
+            return items
 
     def close(self) -> None:
         """Stop admissions; wake every waiter so they can re-check."""

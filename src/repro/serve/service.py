@@ -2,8 +2,10 @@
 
 :class:`CompressionService` is the scheduling substrate the rest of the
 repo submits codec work to: a **bounded** submission queue feeding a
-dispatcher thread that micro-batches compatible small jobs
-(:mod:`repro.serve.batching`) and fans work out to a worker pool.  The
+dispatcher thread that fans work out to a worker pool.  Dispatch is
+work-conserving: a job goes out as soon as a worker is idle, and the
+compatible small jobs that queued behind busy workers meanwhile go out
+with it as one micro-batch (:mod:`repro.serve.batching`).  The
 paper's argument is that SZx must never be the pipeline bottleneck
 (Section 1's instrument use case); this layer extends that argument
 from one array to *many concurrent requests*:
@@ -40,14 +42,16 @@ import random
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .. import observe
-from ..codec import CodecConfig, SZxCodec
+from ..codec import CodecConfig
 from ..core.api import _check_input, resolve_error_bound_info
 from ..core.blocks import validate_block_size
+from ..core.kernels import compress_blocks, decompress_blocks
+from ..core.stream import parse_stream
 from ..parallel.backends import resolve_backend
 from ..parallel.omp import resolve_worker_count
 from ..parallel.procpool import ProcPool, WorkerCrashError
@@ -59,7 +63,7 @@ from .errors import (
     ServiceOverloadedError,
     TransientError,
 )
-from .queueing import BoundedQueue, QueueEmpty
+from .queueing import BoundedQueue
 
 _OVERFLOW_POLICIES = ("reject", "block")
 
@@ -83,7 +87,6 @@ class _Job:
     checksum: bool = False
     # decompress fields:
     payload: bytes = b""
-    config: CodecConfig | None = field(default=None)
     #: The submitter's innermost open span (None when untraced) — worker
     #: spans attach here so ``serve.job.*`` nests under the request.
     parent_span: object = None
@@ -122,7 +125,7 @@ class CompressionService:
         shared memory is unavailable.
     queue_capacity, overflow, submit_timeout_s:
         The backpressure policy (see module docstring).
-    batching, batch_window_s, batch_max_jobs, batch_max_values:
+    batching, batch_max_jobs:
         Micro-batching controls; ``batching=False`` gives the
         one-kernel-call-per-job baseline on the same pool.
     max_retries, retry_backoff_s:
@@ -145,9 +148,7 @@ class CompressionService:
         overflow: str = "reject",
         submit_timeout_s: float = 1.0,
         batching: bool = True,
-        batch_window_s: float = _batching.DEFAULT_BATCH_WINDOW_S,
         batch_max_jobs: int = _batching.DEFAULT_BATCH_MAX_JOBS,
-        batch_max_values: int = _batching.DEFAULT_BATCH_MAX_VALUES,
         max_retries: int = 2,
         retry_backoff_s: float = 0.005,
         default_config: CodecConfig | None = None,
@@ -161,6 +162,8 @@ class CompressionService:
             )
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
+        if batch_max_jobs < 1:
+            raise ValueError("batch_max_jobs must be >= 1")
         self.backend = resolve_backend(backend)
         self.workers = resolve_worker_count(workers, backend=self.backend)
         self.overflow = overflow
@@ -171,11 +174,7 @@ class CompressionService:
         self.default_config = default_config
         self._queue = BoundedQueue(queue_capacity)
         self._batching = bool(batching)
-        self._batcher = _batching.MicroBatcher(
-            window_s=batch_window_s,
-            max_jobs=batch_max_jobs,
-            max_values=batch_max_values,
-        )
+        self._batch_max_jobs = int(batch_max_jobs)
         self._max_retries = int(max_retries)
         self._retry_backoff_s = float(retry_backoff_s)
         self._rng = random.Random(0xC0DEC)
@@ -304,8 +303,11 @@ class CompressionService:
         parent_span=None,
         timeline=None,
     ) -> Future:
-        """Enqueue a decompression job; returns a ``Future[ndarray]``."""
-        config = config or self.default_config or CodecConfig()
+        """Enqueue a decompression job; returns a ``Future[ndarray]``.
+
+        *config* is accepted for symmetry with :meth:`submit_compress`;
+        a stream's header carries everything decoding needs.
+        """
         now = time.monotonic()
         job = _Job(
             kind="decompress",
@@ -313,7 +315,6 @@ class CompressionService:
             submitted_at=now,
             deadline=now + timeout_s if timeout_s is not None else None,
             payload=bytes(stream),
-            config=config.replace(workers=1),
             parent_span=self._parent_span(parent_span),
             timeline=timeline,
         )
@@ -335,46 +336,43 @@ class CompressionService:
 
     # -- dispatcher -----------------------------------------------------
     def _dispatch(self) -> None:
-        batcher = self._batcher
+        """Work-conserving dispatch: never hold a job while a worker idles.
+
+        Wait for a job, then for an idle worker slot; with the slot in
+        hand, take every job queued meanwhile and cut that backlog into
+        units (:func:`~repro.serve.batching.coalesce`).  An idle service
+        therefore runs a lone job at once, and a busy one batches
+        exactly what queued behind it.
+        """
         while True:
-            deadline = batcher.next_deadline()
-            timeout = (
-                None if deadline is None
-                else max(deadline - time.monotonic(), 0.0)
-            )
             try:
-                job = self._queue.get(timeout=timeout)
-            except QueueEmpty:
-                self._launch_batches(batcher.pop_expired(time.monotonic()))
-                continue
+                first = self._queue.get()
             except ServiceClosedError:
                 break
-            if self._discard:  # analyze: ignore[lock-discipline] - monotonic flag, set before queue.close()
+            self._slots.acquire()
+            backlog = [first, *self._queue.take_all()]
+            units = (
+                _batching.coalesce(backlog, max_jobs=self._batch_max_jobs)
+                if self._batching else [[job] for job in backlog]
+            )
+            for i, jobs in enumerate(units):
+                if i:
+                    self._slots.acquire()
+                self._launch(jobs)
+
+    def _launch(self, jobs) -> None:
+        """Hand one unit to the pool on a worker slot the caller holds;
+        the unit releases the slot when it ends.  After
+        ``close(drain=False)`` the unit's jobs fail instead."""
+        if self._discard:  # analyze: ignore[lock-discipline] - monotonic flag, set before queue.close()
+            self._slots.release()
+            for job in jobs:
                 self._fail(job, ServiceClosedError("service closed without draining"))
-                continue
-            if self._batching and _batching.is_batchable(job):
-                self._launch_batches(batcher.add(job, time.monotonic()))
-                self._launch_batches(batcher.pop_expired(time.monotonic()))
-            else:
-                self._launch(self._run_single, job)
-        leftovers = batcher.pop_all()
-        if self._discard:  # analyze: ignore[lock-discipline] - queue already closed, flag is final
-            for group in leftovers:
-                for job in group:
-                    self._fail(job, ServiceClosedError("service closed without draining"))
+            return
+        if len(jobs) == 1:
+            fn, arg = self._run_single, jobs[0]
         else:
-            self._launch_batches(leftovers)
-
-    def _launch_batches(self, groups) -> None:
-        for jobs in groups:
-            if len(jobs) == 1:
-                self._launch(self._run_single, jobs[0])
-            else:
-                self._launch(self._run_batch, jobs)
-
-    def _launch(self, fn, arg) -> None:
-        """Submit one work unit, holding a worker slot until it ends."""
-        self._slots.acquire()
+            fn, arg = self._run_batch, jobs
         try:
             self._pool.submit(fn, arg)
         except BaseException:
@@ -446,7 +444,6 @@ class CompressionService:
             raise TransientError(str(exc)) from exc
 
     def _decompress_on_procpool(self, job: _Job):
-        from ..core.stream import parse_stream
         from ..parallel.procpool import decompress_components_procpool
 
         try:
@@ -471,15 +468,11 @@ class CompressionService:
                             "serve.worker.compress",
                         )
                     else:
-                        codec = SZxCodec(
-                            CodecConfig(
-                                err_bound=job.abs_bound,
-                                block_size=job.block_size,
-                                checksum=job.checksum,
-                            )
-                        )
                         result = self._with_retries(
-                            lambda: codec.compress(job.array),
+                            lambda: compress_blocks(
+                                job.array, job.abs_bound, job.block_size,
+                                checksum=job.checksum,
+                            ).to_bytes(),
                             "serve.worker.compress",
                         )
                 elif use_procs:
@@ -488,9 +481,8 @@ class CompressionService:
                         "serve.worker.decompress",
                     )
                 else:
-                    codec = SZxCodec(job.config)
                     result = self._with_retries(
-                        lambda: codec.decompress(job.payload),
+                        lambda: decompress_blocks(parse_stream(job.payload)),
                         "serve.worker.decompress",
                     )
         except BaseException as exc:  # noqa: BLE001 - forwarded to the future

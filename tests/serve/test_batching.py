@@ -1,10 +1,10 @@
-"""Micro-batcher tests: byte-identity of split streams, grouping rules."""
+"""Micro-batching tests: byte-identity of split streams, grouping rules."""
 
 import numpy as np
 import pytest
 
 from repro.codec import CodecConfig, SZxCodec
-from repro.serve.batching import MicroBatcher, batch_key, compress_batch, is_batchable
+from repro.serve.batching import batch_key, coalesce, compress_batch, is_batchable
 
 RNG = np.random.default_rng(77)
 BS = 128
@@ -104,48 +104,51 @@ class TestGrouping:
 
 
 class TestMicroBatcher:
+    """The sealing rules, as :func:`coalesce` applies them to a drained
+    backlog."""
+
     def test_seals_on_max_jobs(self):
-        mb = MicroBatcher(window_s=10.0, max_jobs=3, max_values=1 << 30)
-        jobs = [FakeJob(_field(BS)) for _ in range(3)]
-        assert mb.add(jobs[0], now=0.0) == []
-        assert mb.add(jobs[1], now=0.0) == []
-        sealed = mb.add(jobs[2], now=0.0)
-        assert sealed == [jobs]
-        assert mb.pending == 0
+        jobs = [FakeJob(_field(BS)) for _ in range(4)]
+        assert coalesce(jobs, max_jobs=3) == [jobs[:3], jobs[3:]]
 
     def test_seals_on_max_values(self):
-        mb = MicroBatcher(window_s=10.0, max_jobs=100, max_values=2 * BS)
-        jobs = [FakeJob(_field(BS)), FakeJob(_field(BS))]
-        assert mb.add(jobs[0], now=0.0) == []
-        assert mb.add(jobs[1], now=0.0) == [jobs]
+        jobs = [FakeJob(_field(BS)) for _ in range(3)]
+        assert coalesce(jobs, max_jobs=100, max_values=2 * BS) == [
+            jobs[:2], jobs[2:],
+        ]
 
     def test_unaligned_job_seals_its_batch(self):
-        mb = MicroBatcher(window_s=10.0, max_jobs=100, max_values=1 << 30)
         aligned = FakeJob(_field(BS))
         ragged = FakeJob(_field(BS + 5))
-        assert mb.add(aligned, now=0.0) == []
-        assert mb.add(ragged, now=0.0) == [[aligned, ragged]]
-
-    def test_window_expiry(self):
-        mb = MicroBatcher(window_s=0.01, max_jobs=100, max_values=1 << 30)
-        job = FakeJob(_field(BS))
-        mb.add(job, now=100.0)
-        assert mb.pop_expired(100.005) == []
-        assert mb.pop_expired(100.02) == [[job]]
-        assert mb.next_deadline() is None
+        after = FakeJob(_field(BS))
+        assert coalesce([aligned, ragged, after], max_jobs=100) == [
+            [aligned, ragged], [after],
+        ]
 
     def test_incompatible_jobs_open_separate_groups(self):
-        mb = MicroBatcher(window_s=10.0, max_jobs=2, max_values=1 << 30)
         a1 = FakeJob(_field(BS), abs_bound=1e-3)
         b1 = FakeJob(_field(BS), abs_bound=1e-5)
         a2 = FakeJob(_field(BS), abs_bound=1e-3)
-        assert mb.add(a1, now=0.0) == []
-        assert mb.add(b1, now=0.0) == []
-        assert mb.add(a2, now=0.0) == [[a1, a2]]
-        assert mb.pop_all() == [[b1]]
+        c1 = FakeJob(_field(BS).astype(np.float64), abs_bound=1e-3)
+        assert coalesce([a1, b1, a2, c1], max_jobs=2) == [[a1, a2], [b1], [c1]]
+
+    def test_non_batchable_jobs_stay_singles_in_fifo_order(self):
+        a1 = FakeJob(_field(BS))
+        d1 = FakeJob(_field(BS), kind="decompress")
+        empty = FakeJob(np.empty(0, np.float32))
+        a2 = FakeJob(_field(BS))
+        d2 = FakeJob(_field(BS), kind="decompress")
+        assert coalesce([a1, d1, empty, a2, d2], max_jobs=8) == [
+            [a1, a2], [d1], [empty], [d2],
+        ]
+
+    def test_lone_job_is_a_unit_of_one(self):
+        job = FakeJob(_field(BS))
+        assert coalesce([job], max_jobs=8) == [[job]]
+        assert coalesce([], max_jobs=8) == []
 
     def test_bad_params(self):
         with pytest.raises(ValueError):
-            MicroBatcher(window_s=-1)
+            coalesce([], max_jobs=0)
         with pytest.raises(ValueError):
-            MicroBatcher(max_jobs=0)
+            coalesce([], max_jobs=8, max_values=0)

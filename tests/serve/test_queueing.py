@@ -6,7 +6,7 @@ import time
 import pytest
 
 from repro.serve.errors import ServiceClosedError, ServiceOverloadedError
-from repro.serve.queueing import BoundedQueue, QueueEmpty
+from repro.serve.queueing import BoundedQueue
 
 
 class TestAdmission:
@@ -53,10 +53,28 @@ class TestAdmission:
 
 
 class TestGet:
-    def test_timeout_raises_empty(self):
-        q = BoundedQueue(2)
-        with pytest.raises(QueueEmpty):
-            q.get(timeout=0.01)
+    def test_take_all_takes_the_backlog_without_waiting(self):
+        q = BoundedQueue(3)
+        assert q.take_all() == []
+        for item in "abc":
+            q.put(item)
+        assert q.take_all() == ["a", "b", "c"]
+        assert len(q) == 0
+        q.put("d")  # the capacity is free again
+        assert q.get() == "d"
+
+    def test_take_all_wakes_blocked_putter(self):
+        q = BoundedQueue(1)
+        q.put("a")
+        t = threading.Thread(
+            target=q.put, args=("b",), kwargs={"block": True}, daemon=True
+        )
+        t.start()
+        time.sleep(0.02)
+        assert q.take_all() == ["a"]
+        t.join(timeout=5.0)
+        assert not t.is_alive()
+        assert q.get() == "b"
 
     def test_closed_queue_rejects_put(self):
         q = BoundedQueue(2)

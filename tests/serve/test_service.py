@@ -1,5 +1,6 @@
 """CompressionService tests: determinism, backpressure, faults, lifecycle."""
 
+import sys
 import threading
 import time
 
@@ -93,8 +94,7 @@ class TestDeterminismUnderConcurrency:
         arrays = [_field(n, seed=i) for i, n in enumerate([256, 1000, 4096, 65, 2048] * 8)]
         expected = [SZxCodec(CFG).compress(a) for a in arrays]
         results = [None] * len(arrays)
-        with CompressionService(workers=4, queue_capacity=256,
-                                batch_window_s=0.001) as svc:
+        with CompressionService(workers=4, queue_capacity=256) as svc:
             def submit_range(lo, hi):
                 futs = [(i, svc.submit_compress(arrays[i], CFG)) for i in range(lo, hi)]
                 for i, fut in futs:
@@ -116,7 +116,7 @@ class TestDeterminismUnderConcurrency:
         expected = [
             SZxCodec(cfgs[i % 3]).compress(a) for i, a in enumerate(arrays)
         ]
-        with CompressionService(workers=2, batch_window_s=0.005) as svc:
+        with CompressionService(workers=2) as svc:
             futs = [
                 svc.submit_compress(a, cfgs[i % 3]) for i, a in enumerate(arrays)
             ]
@@ -124,13 +124,137 @@ class TestDeterminismUnderConcurrency:
         assert got == expected
 
     def test_batching_actually_happens(self):
-        with CompressionService(workers=1, batch_window_s=0.05) as svc:
+        with CompressionService(workers=1) as svc:
             futs = [svc.submit_compress(_field(128, seed=i), CFG) for i in range(8)]
             for f in futs:
                 f.result(timeout=30)
             stats = svc.stats()
         assert stats["batched_jobs"] >= 2
         assert stats["batches"] >= 1
+
+
+class TestWorkConservingDispatch:
+    """A job goes out as soon as a worker is idle; only the backlog that
+    queued behind a busy worker coalesces.  No test here depends on
+    timing: the single worker is held on an event until the backlog is
+    in place."""
+
+    @staticmethod
+    def _busy_service(monkeypatch):
+        """A one-worker service whose worker is running a held job;
+        setting the returned event lets it (and every later job) run."""
+        svc = CompressionService(workers=1, queue_capacity=64)
+        started, release = threading.Event(), threading.Event()
+        run = svc._run_single_inner
+
+        def held(job):
+            started.set()
+            release.wait(60)
+            run(job)
+
+        monkeypatch.setattr(svc, "_run_single_inner", held)
+        stream = SZxCodec(CFG).compress(_field(1_000, seed=99))
+        holder = svc.submit_decompress(stream)
+        assert started.wait(60)
+        return svc, holder, release
+
+    def test_backlog_behind_busy_worker_is_one_batch(self, monkeypatch):
+        svc, holder, release = self._busy_service(monkeypatch)
+        arrays = [_field(512, seed=i) for i in range(5)]
+        stream = SZxCodec(CFG).compress(_field(700, seed=50))
+        try:
+            futs = [svc.submit_compress(a, CFG) for a in arrays]
+            dfut = svc.submit_decompress(stream)
+            release.set()
+            assert [f.result(timeout=60) for f in futs] == [
+                SZxCodec(CFG).compress(a) for a in arrays
+            ]
+            np.testing.assert_array_equal(
+                dfut.result(timeout=60), SZxCodec(CFG).decompress(stream)
+            )
+            holder.result(timeout=60)
+            stats = svc.stats()
+        finally:
+            svc.close()
+        assert stats["batches"] == 1
+        assert stats["batched_jobs"] == len(arrays)
+        assert stats["served"] == len(arrays) + 2
+
+    def test_idle_service_never_batches(self):
+        arrays = [_field(256, seed=i) for i in range(20)]
+        with CompressionService(workers=2) as svc:
+            for a in arrays:
+                assert svc.compress(a, CFG) == SZxCodec(CFG).compress(a)
+            stats = svc.stats()
+        assert stats["batches"] == 0
+        assert stats["served"] == len(arrays)
+
+    def test_stress_mixed_traffic_under_fast_switching(self):
+        # Many submitters and a tiny switch interval shake out lost
+        # jobs or slots between get, take_all and the worker releases.
+        cfgs = [CodecConfig(err_bound=b) for b in (1e-2, 1e-3)]
+        arrays = [_field(n, seed=i) for i, n in enumerate([128, 300, 1024, 65] * 12)]
+        streams = [SZxCodec(cfgs[i % 2]).compress(a) for i, a in enumerate(arrays)]
+        compressed = [None] * len(arrays)
+        decoded = [None] * len(arrays)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with CompressionService(workers=2, queue_capacity=256) as svc:
+                def submit(lo):
+                    futs = []
+                    for i in range(lo, len(arrays), 8):
+                        cfg = cfgs[i % 2]
+                        futs.append(
+                            (compressed, i, svc.submit_compress(arrays[i], cfg))
+                        )
+                        futs.append(
+                            (decoded, i, svc.submit_decompress(streams[i]))
+                        )
+                    for out, i, fut in futs:
+                        out[i] = fut.result(timeout=60)
+
+                threads = [
+                    threading.Thread(target=submit, args=(lo,)) for lo in range(8)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+                assert not any(t.is_alive() for t in threads)
+                stats = svc.stats()
+        finally:
+            sys.setswitchinterval(old)
+        assert compressed == streams
+        for i, stream in enumerate(streams):
+            np.testing.assert_array_equal(
+                decoded[i], SZxCodec(cfgs[i % 2]).decompress(stream)
+            )
+        assert stats["served"] == 2 * len(arrays)
+        assert stats["failed"] == 0
+
+    @pytest.mark.parametrize("drain", [True, False])
+    def test_close_with_backlog_behind_busy_worker(self, monkeypatch, drain):
+        svc, holder, release = self._busy_service(monkeypatch)
+        arrays = [_field(512, seed=i) for i in range(4)]
+        futs = [svc.submit_compress(a, CFG) for a in arrays]
+        closer = threading.Thread(target=svc.close, kwargs={"drain": drain})
+        closer.start()
+        while not svc.closed:
+            time.sleep(0.001)
+        release.set()
+        closer.join(timeout=60)
+        assert not closer.is_alive()
+        holder.result(timeout=0)  # already on the worker: it finishes
+        if drain:
+            assert [f.result(timeout=0) for f in futs] == [
+                SZxCodec(CFG).compress(a) for a in arrays
+            ]
+        else:
+            for f in futs:
+                with pytest.raises(ServiceClosedError):
+                    f.result(timeout=0)
+            assert svc.stats()["failed"] == len(arrays)
 
 
 class TestFaultInjection:
@@ -146,8 +270,8 @@ class TestFaultInjection:
     def test_transient_fault_in_batch_path(self):
         arrays = [_field(256, seed=i) for i in range(6)]
         expected = [SZxCodec(CFG).compress(a) for a in arrays]
-        with CompressionService(workers=1, batch_window_s=0.05,
-                                max_retries=3, retry_backoff_s=0.001) as svc:
+        with CompressionService(workers=1, max_retries=3,
+                                retry_backoff_s=0.001) as svc:
             with faults.inject("serve.worker.batch", TransientError, times=1):
                 futs = [svc.submit_compress(a, CFG) for a in arrays]
                 assert [f.result(timeout=30) for f in futs] == expected
@@ -214,12 +338,13 @@ class TestBackpressure:
     def test_block_policy_times_out(self, monkeypatch):
         # Jobs slowed to 200 ms each: one worker cannot free queue
         # space within the 50 ms submit deadline.
-        class SlowCodec(SZxCodec):
-            def compress(self, data):
-                time.sleep(0.2)
-                return super().compress(data)
+        fast = service_module.compress_blocks
 
-        monkeypatch.setattr(service_module, "SZxCodec", SlowCodec)
+        def slow_compress_blocks(*args, **kwargs):
+            time.sleep(0.2)
+            return fast(*args, **kwargs)
+
+        monkeypatch.setattr(service_module, "compress_blocks", slow_compress_blocks)
         data = _field(1 << 15)
         svc = CompressionService(workers=1, queue_capacity=1,
                                  overflow="block", submit_timeout_s=0.05,
@@ -253,7 +378,7 @@ class TestLifecycle:
     def test_close_drains_accepted_jobs(self):
         arrays = [_field(512, seed=i) for i in range(10)]
         expected = [SZxCodec(CFG).compress(a) for a in arrays]
-        svc = CompressionService(workers=2, batch_window_s=0.05)
+        svc = CompressionService(workers=2)
         futs = [svc.submit_compress(a, CFG) for a in arrays]
         svc.close(drain=True)
         assert [f.result(timeout=0) for f in futs] == expected
