@@ -81,13 +81,7 @@ def dump_stage_breakdown(table_name: str, fn, *args, meta=None, **kwargs):
         return fn(*args, **kwargs)
     from repro.bench import stage_breakdown, write_stage_json
 
-    # REPRO_STAGE_PROFILE=1 additionally runs the sampling profiler so
-    # the JSON carries collapsed-stack frame attribution.
-    result, spans = stage_breakdown(
-        fn, *args,
-        profile=bool(os.environ.get("REPRO_STAGE_PROFILE")),
-        **kwargs,
-    )
+    result, spans = stage_breakdown(fn, *args, **kwargs)
     doc_meta = {"table": table_name, "scale": SCALE}
     if meta:
         doc_meta.update(meta)
@@ -107,8 +101,8 @@ def save_cells(name: str, table: dict, text: str, *, meta=None, extra=None):
     *table* is the ``{(codec, rel, app): value}`` dict every table
     benchmark builds; the JSON sibling flattens it into
     ``[{"codec", "rel", "app", "value"}, ...]`` cells (tuples become
-    lists) so the perf ledger and trend tooling can consume the run
-    without re-parsing the aligned text.
+    lists) so other tooling can consume the run without re-parsing the
+    aligned text.
     """
     from repro.bench import save_json, save_result
 

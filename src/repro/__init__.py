@@ -18,7 +18,7 @@ everything else is internal and may change between versions.
   is its reusable scratch allocator;
 * :class:`repro.StreamFormatError` — root of the typed stream-format
   error hierarchy raised on malformed input;
-* :mod:`repro.observe` — tracing spans, metrics registry, perf ledger;
+* :mod:`repro.observe` — tracing spans, metrics registry, request telemetry;
 * :class:`repro.CompressionService` (lazy, from :mod:`repro.serve`) —
   the concurrent in-process front end;
 * :mod:`repro.baselines`, :mod:`repro.lossless` — SZ/ZFP/lossless

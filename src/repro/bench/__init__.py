@@ -10,7 +10,7 @@ from .timing import (
 from .tables import format_table, format_series
 from .results import RESULTS_DIR, save_json, save_result, save_rows
 from .serve_load import format_serve_report, run_serve_load
-from .net_load import format_net_report, net_load_perf_records, run_net_load
+from .net_load import format_net_report, run_net_load
 
 __all__ = [
     "measure_throughput_mb_s",
@@ -28,5 +28,4 @@ __all__ = [
     "format_serve_report",
     "run_net_load",
     "format_net_report",
-    "net_load_perf_records",
 ]

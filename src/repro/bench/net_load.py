@@ -13,9 +13,9 @@ drives two phases over the wire:
 
 The report carries per-phase p50/p95/p99 client-observed latency
 (warmup samples excluded), throughput, the protocol error count (the
-CI net-smoke job asserts it is zero), the cache speedup ``dup`` vs
-``cold``, and optional :class:`~repro.observe.perf.PerfRecord` rows so
-the perf-regression engine can gate p99 across CI runs.
+CI net-smoke job asserts it is zero) and the cache speedup ``dup`` vs
+``cold``.  The CI net-smoke job gates the cold phase's throughput and
+latency quantiles run-to-run from two saved reports.
 """
 
 from __future__ import annotations
@@ -278,53 +278,6 @@ def run_net_load(
     if trace_doc is not None:
         report["trace"] = trace_doc
     return report
-
-
-def net_load_perf_records(report: dict, *, suite: str = "net_load") -> list:
-    """Convert a report into PerfRecords for the regression engine.
-
-    One record per phase; latency quantiles land in the ``latency``
-    dict, which :func:`repro.observe.perf.compare_runs` treats as
-    lower-is-better.
-    """
-    from ..observe.perf import EnvFingerprint, PerfRecord, Workload
-
-    cfg = report["config"]
-    env = EnvFingerprint.capture()
-    records = []
-    for phase in ("cold", "dup"):
-        p = report[phase]
-        records.append(PerfRecord(
-            workload=Workload(
-                suite=suite,
-                case=(
-                    f"{phase}/{cfg['chunks']}x{cfg['values_per_chunk']}/"
-                    f"c{cfg['clients']}"
-                ),
-                operation="compress",
-                dataset=f"rw_{phase}",
-                dtype="float32",
-                shape=(cfg["chunks"], cfg["values_per_chunk"]),
-                n_values=cfg["chunks"] * cfg["values_per_chunk"],
-                err_bound=cfg["err_bound"],
-                mode="abs",
-                block_size=cfg["block_size"],
-                engine="net",
-                threads=cfg["shards"] * cfg["workers_per_shard"],
-                backend=cfg["backend"],
-                seed=cfg["seed"],
-            ),
-            metrics={
-                "throughput_mb_s": p["mb_per_s"],
-                "requests_per_s": p["requests_per_s"],
-                "cache_hit_rate": p["cache_hit_rate"],
-                "error_count": p["error_count"],
-            },
-            repeats_s=[p["makespan_s"]],
-            latency=dict(p["latency"]),
-            env=env,
-        ))
-    return records
 
 
 def format_net_report(report: dict) -> str:

@@ -1,8 +1,7 @@
 """Benchmark result capture: every bench writes its table under results/.
 
 ``save_result`` keeps the human-readable ``.txt`` tables;
-``save_json`` writes the machine-comparable sibling that feeds the
-perf ledger (:mod:`repro.observe.perf`) — benchmarks call
+``save_json`` writes the machine-comparable sibling — benchmarks call
 ``save_rows`` to emit both from one rows structure.
 """
 
@@ -42,7 +41,7 @@ def save_rows(name: str, title: str, col_names, rows, *, meta=None) -> tuple[Pat
     *rows* is the ``(label, values...)`` list ``format_table`` takes;
     the JSON sibling stores the same rows structurally
     (``{"title", "columns", "rows": [{"label", "values"}], "meta"}``)
-    so the perf ledger and trend tooling can consume it.
+    so other tooling can consume it without re-parsing the text.
     """
     from .tables import format_table
 

@@ -16,9 +16,8 @@ from pathlib import Path
 def time_repeats(fn, *args, repeats: int = 3, **kwargs):
     """Run ``fn(*args, **kwargs)`` *repeats* times; return (times_s, result).
 
-    The full list of wall times (not just the best) is what the perf
-    ledger stores — repeat variance is the regression engine's noise
-    tolerance.
+    The full list of wall times (not just the best) lets a caller see
+    the spread between repeats as well as the best time.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
@@ -48,30 +47,15 @@ def measure_throughput_mb_s(fn, data_bytes: int, *args, repeats: int = 3, **kwar
     return data_bytes / 1e6 / best, result
 
 
-def stage_breakdown(fn, *args, profile=False, profile_interval_s=0.001, **kwargs):
+def stage_breakdown(fn, *args, **kwargs):
     """Run ``fn(*args, **kwargs)`` under tracing.
 
     Returns ``(result, spans)`` where *spans* is the list of root span
     trees as JSON-ready dicts (per-stage wall/CPU time and byte counts).
     Tracing state is restored afterwards, so this is safe inside a
     benchmark that otherwise runs untraced.
-
-    With ``profile=True`` the call also runs under the sampling
-    profiler (:mod:`repro.observe.perf.profile`) and the returned span
-    list carries one extra trailing dict ``{"profile": {...}}`` with
-    the collapsed-stack attribution — tables can report not just how
-    long each stage took but *which frames* the wall time went to.
     """
     from ..observe import trace
-
-    if profile:
-        from ..observe.perf import profile as run_profiled
-
-        with trace() as sink:
-            result, prof = run_profiled(
-                fn, *args, interval_s=profile_interval_s, **kwargs
-            )
-        return result, [*sink.to_dicts(), {"profile": prof.to_dict()}]
 
     with trace() as sink:
         result = fn(*args, **kwargs)
@@ -83,18 +67,10 @@ def write_stage_json(path, spans, *, meta=None) -> Path:
 
     *spans* is the list from :func:`stage_breakdown`; *meta* is an
     optional dict of benchmark context (table name, dataset, bound, ...)
-    stored alongside so the artifact is self-describing.  A trailing
-    ``{"profile": ...}`` entry (from ``stage_breakdown(...,
-    profile=True)``) is lifted into the document's ``profile`` key.
+    stored alongside so the artifact is self-describing.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    spans = list(spans)
-    prof = None
-    if spans and set(spans[-1]) == {"profile"}:
-        prof = spans.pop()["profile"]
-    doc = {"meta": dict(meta) if meta else {}, "spans": spans}
-    if prof is not None:
-        doc["profile"] = prof
+    doc = {"meta": dict(meta) if meta else {}, "spans": list(spans)}
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return path

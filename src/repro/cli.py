@@ -10,9 +10,6 @@ Mirrors the reference SZx artifact's usage on raw binary arrays::
     szx validate  data.szx
     szx stats     data.szx
     szx metrics   data.szx
-    szx perf record --suite smoke --seed 0
-    szx perf compare base-run new-run --threshold 0.9
-    szx perf report --format markdown
     szx fuzz      --seed 0 --iters 50
     szx lint      --format json -o lint.json
     szx serve-bench --jobs 400 --workers 4 --warmup 16 --report serve.json
@@ -347,129 +344,6 @@ def _cmd_metrics(args) -> int:
     return 0
 
 
-def _perf_ledger(args):
-    from .observe.perf import PerfLedger
-
-    return PerfLedger(args.dir) if args.dir else PerfLedger()
-
-
-def _cmd_perf_record(args) -> int:
-    """Run a named suite and persist it into the perf ledger."""
-    from .observe.perf import run_suite
-
-    ledger = _perf_ledger(args)
-    records = run_suite(
-        args.suite,
-        seed=args.seed,
-        repeats=args.repeats,
-        profile=args.profile,
-        slowdown_s=args.slowdown_s,
-    )
-    label = args.label or f"run-{args.suite}"
-    paths = ledger.record_run(label, args.suite, records)
-    for rec in records:
-        tp = rec.metrics.get("throughput_mb_s")
-        cr = rec.metrics.get("ratio")
-        print(
-            f"  {rec.case:<28} {tp:>9.1f} MB/s  CR {cr:.2f}  "
-            f"cv {rec.noise_cv:.3f}  ({len(rec.repeats_s)} repeats)"
-        )
-    print(
-        f"perf record: {len(records)} record(s) from suite {args.suite!r} "
-        f"(seed {args.seed}) -> {paths['run']}"
-    )
-    print(f"  ledger:  {paths['ledger']}")
-    print(f"  summary: {paths['bench']}")
-    return 0
-
-
-def _cmd_perf_compare(args) -> int:
-    """Compare two recorded runs; exit 1 on real regressions."""
-    from .observe.perf import compare_runs, format_compare, load_run
-
-    ledger = _perf_ledger(args)
-    try:
-        base_path = ledger.resolve_run(args.base)
-        new_path = ledger.resolve_run(args.new)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _, base_records = load_run(base_path)
-    _, new_records = load_run(new_path)
-    report = compare_runs(
-        base_records, new_records,
-        threshold=args.threshold, noise_factor=args.noise_factor,
-    )
-    print(format_compare(report, verbose=args.verbose))
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"comparison written to {args.json}")
-    if report.regressions and not report.env_comparable and not args.strict_env:
-        print(
-            "note: runs come from different environments; regressions are "
-            "reported but not enforced (pass --strict-env to fail anyway)"
-        )
-        return 0
-    return 0 if report.ok else 1
-
-
-def _cmd_perf_report(args) -> int:
-    """Trend report over the append-only perf ledger."""
-    from .observe.perf import PerfLedger  # noqa: F401  (via _perf_ledger)
-
-    ledger = _perf_ledger(args)
-    records = ledger.read()
-    if not records:
-        print(f"perf ledger is empty ({ledger.ledger_path})")
-        return 0
-
-    by_case: dict[str, list] = {}
-    for rec in records:
-        by_case.setdefault(rec.case, []).append(rec)
-
-    if args.format == "json":
-        doc = {
-            case: {
-                "runs": len(recs),
-                "latest_mb_s": recs[-1].metrics.get("throughput_mb_s"),
-                "best_mb_s": max(
-                    (r.metrics.get("throughput_mb_s") or 0.0) for r in recs
-                ),
-                "latest_ratio": recs[-1].metrics.get("ratio"),
-                "history_mb_s": [
-                    r.metrics.get("throughput_mb_s") for r in recs[-10:]
-                ],
-            }
-            for case, recs in sorted(by_case.items())
-        }
-        text = json.dumps(doc, indent=2, sort_keys=True)
-    else:
-        lines = [
-            "| case | runs | latest MB/s | best MB/s | latest CR |",
-            "|---|---:|---:|---:|---:|",
-        ]
-        for case, recs in sorted(by_case.items()):
-            latest = recs[-1]
-            best = max((r.metrics.get("throughput_mb_s") or 0.0) for r in recs)
-            tp = latest.metrics.get("throughput_mb_s") or 0.0
-            cr = latest.metrics.get("ratio")
-            lines.append(
-                f"| {case} | {len(recs)} | {tp:.1f} | {best:.1f} | "
-                f"{cr:.2f} |" if cr else
-                f"| {case} | {len(recs)} | {tp:.1f} | {best:.1f} | n/a |"
-            )
-        text = "\n".join(lines)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        print(f"report written to {args.output}")
-    else:
-        print(text)
-    return 0
-
-
 def _cmd_fuzz(args) -> int:
     """Run the differential fuzz harness (repro.testing)."""
     from .testing import run_fuzz
@@ -688,14 +562,9 @@ def _cmd_net_bench(args) -> int:
 
     Runs the cold (unique chunks) and duplicate (100 % cache hits)
     phases; exits 1 when any protocol error occurred, so CI can assert
-    a clean run.  ``--perf-label`` additionally records per-phase
-    PerfRecords into the perf ledger for ``szx perf compare`` gating.
+    a clean run.
     """
-    from .bench.net_load import (
-        format_net_report,
-        net_load_perf_records,
-        run_net_load,
-    )
+    from .bench.net_load import format_net_report, run_net_load
 
     report = run_net_load(
         chunks=args.chunks,
@@ -718,14 +587,6 @@ def _cmd_net_bench(args) -> int:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
         print(f"report written to {args.report}")
-    if args.perf_label:
-        from .observe.perf import PerfLedger
-
-        ledger = PerfLedger(args.perf_dir) if args.perf_dir else PerfLedger()
-        paths = ledger.record_run(
-            args.perf_label, "net_load", net_load_perf_records(report)
-        )
-        print(f"perf run {args.perf_label!r} -> {paths['run']}")
     return 0 if report["protocol_errors"] == 0 else 1
 
 
@@ -1036,69 +897,6 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("-o", "--output", help="write here instead of stdout")
     pm.set_defaults(fn=_cmd_metrics)
 
-    pp = sub.add_parser(
-        "perf",
-        help="performance telemetry: record suites, compare runs, trend reports",
-    )
-    perf_sub = pp.add_subparsers(dest="perf_command", required=True)
-
-    def add_perf_dir(p):
-        p.add_argument(
-            "--dir", metavar="PATH",
-            help="perf ledger directory (default: results/perf)",
-        )
-
-    ppr = perf_sub.add_parser(
-        "record", help="run a named benchmark suite into the perf ledger"
-    )
-    ppr.add_argument("--suite", default="smoke")
-    ppr.add_argument("--seed", type=int, default=0)
-    ppr.add_argument("--repeats", type=int, default=3)
-    ppr.add_argument("--label", help="run-file name (default: run-<suite>)")
-    ppr.add_argument(
-        "--profile", action="store_true",
-        help="attach sampling-profiler collapsed stacks to compress records",
-    )
-    ppr.add_argument(
-        "--slowdown-s", type=float, default=0.0,
-        help="(test fixture) busy-wait added to every compress call",
-    )
-    add_perf_dir(ppr)
-    ppr.set_defaults(fn=_cmd_perf_record)
-
-    ppc = perf_sub.add_parser(
-        "compare", help="pairwise regression check between two recorded runs"
-    )
-    ppc.add_argument("base", help="baseline run (label or path)")
-    ppc.add_argument("new", help="candidate run (label or path)")
-    ppc.add_argument(
-        "--threshold", type=float, default=0.9,
-        help="minimum acceptable new/base throughput ratio (default 0.9)",
-    )
-    ppc.add_argument(
-        "--noise-factor", type=float, default=3.0,
-        help="repeat-variance multiplier widening the tolerance (default 3)",
-    )
-    ppc.add_argument(
-        "--strict-env", action="store_true",
-        help="fail on regressions even across different environments",
-    )
-    ppc.add_argument("--json", metavar="PATH", help="also write the full JSON report")
-    ppc.add_argument("-v", "--verbose", action="store_true",
-                     help="show unchanged cells too")
-    add_perf_dir(ppc)
-    ppc.set_defaults(fn=_cmd_perf_compare)
-
-    ppt = perf_sub.add_parser(
-        "report", help="markdown/JSON trend report over the perf ledger"
-    )
-    ppt.add_argument(
-        "--format", choices=("markdown", "json"), default="markdown"
-    )
-    ppt.add_argument("-o", "--output", help="write here instead of stdout")
-    add_perf_dir(ppt)
-    ppt.set_defaults(fn=_cmd_perf_report)
-
     pf = sub.add_parser(
         "fuzz", help="run the differential fuzz harness (repro.testing)"
     )
@@ -1264,13 +1062,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace-chrome", metavar="PATH",
         help="run under tracing and export the stitched spans as a "
         "Chrome trace-event file (open in chrome://tracing / Perfetto)",
-    )
-    pnb.add_argument(
-        "--perf-label", metavar="LABEL",
-        help="record per-phase PerfRecords into the perf ledger as LABEL",
-    )
-    pnb.add_argument(
-        "--perf-dir", metavar="DIR", help="perf ledger directory override"
     )
     pnb.set_defaults(fn=_cmd_net_bench)
 

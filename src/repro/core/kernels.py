@@ -38,7 +38,7 @@ the process pool (:mod:`repro.parallel.procpool`), the micro-batcher, and
   opens the tracing span of the same name (``block_stats``,
   ``encode_blocks``, ``encode_tail`` / ``broadcast_const``,
   ``decode_blocks``, ``decode_tail``), which is what
-  ``bench.stage_breakdown(profile=True)`` surfaces.
+  ``bench.stage_breakdown`` surfaces.
 
 The decompressor resolves the leading-byte *dependence chains* of
 Section 6.2.2 with ``np.maximum.accumulate``: byte *j* of value *i* comes

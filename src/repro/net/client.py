@@ -20,7 +20,6 @@ import asyncio
 import numpy as np
 
 from .. import observe
-from ..codec import CodecConfig
 from ..observe.telemetry import from_span
 from . import protocol
 from .errors import ConnectionClosedError, RemoteError, remote_error_for
@@ -222,13 +221,3 @@ __all__ = [
     "server_stats",
     "server_health",
 ]
-
-
-def _config_meta(config: CodecConfig) -> dict:  # pragma: no cover - helper
-    """Codec config → request metadata (kept for CLI symmetry)."""
-    return {
-        "err_bound": config.err_bound,
-        "mode": config.mode,
-        "block_size": config.block_size,
-        "checksum": config.checksum,
-    }

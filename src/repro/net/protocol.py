@@ -103,6 +103,14 @@ ERROR_KIND_FOR_CODE = {
 #: dtypes the wire accepts for raw arrays (what the codec supports).
 WIRE_DTYPES = {"float32": np.float32, "float64": np.float64}
 
+#: dtype -> wire name; a dict lookup instead of ``str(dtype)`` per request.
+_WIRE_NAMES = {np.dtype(t): name for name, t in WIRE_DTYPES.items()}
+
+#: Frame metadata codec, built once (``json.dumps`` with options builds
+#: a fresh encoder on every call).
+_encode_meta = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
+_decode_meta = json.JSONDecoder().decode
+
 _PRELUDE = struct.Struct(">4sI")      # magic, body length
 _BODY_HEAD = struct.Struct(">BI")     # v1: kind, meta length
 _BODY_HEAD2 = struct.Struct(">BB")    # v2: kind, ctx length (meta follows)
@@ -161,9 +169,7 @@ def encode_frame(kind: int, meta: dict | None = None,
         raise ValueError(f"unknown protocol version {version!r}")
     if version == 1 and ctx is not None:
         raise ValueError("protocol v1 frames cannot carry a trace context")
-    meta_bytes = json.dumps(
-        meta or {}, separators=(",", ":"), sort_keys=True
-    ).encode("utf-8")
+    meta_bytes = _encode_meta(meta or {}).encode("utf-8")
     if version == 1:
         body_len = _BODY_HEAD.size + len(meta_bytes) + len(payload)
         return b"".join((
@@ -198,7 +204,7 @@ def _check_kind(kind: int) -> int:
 
 def _parse_meta(raw: bytes) -> dict:
     try:
-        meta = json.loads(raw.decode("utf-8"))
+        meta = _decode_meta(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ProtocolError(f"frame metadata is not valid JSON: {exc}") from exc
     if not isinstance(meta, dict):
@@ -338,7 +344,8 @@ def sniff_protocol(first_bytes: bytes) -> str:
 
 def array_wire_meta(arr: np.ndarray) -> dict:
     """The metadata a raw array needs to cross the wire losslessly."""
-    return {"dtype": str(arr.dtype), "shape": list(arr.shape)}
+    name = _WIRE_NAMES.get(arr.dtype) or str(arr.dtype)
+    return {"dtype": name, "shape": list(arr.shape)}
 
 
 def array_from_wire(meta: dict, payload: bytes) -> np.ndarray:

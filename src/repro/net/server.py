@@ -273,7 +273,7 @@ class NetServer:
                     )
                 else:
                     req.shard, fut = self.shards.submit_decompress(
-                        req.digest, req.payload, req.config,
+                        req.digest, req.payload,
                         parent_span=parent, timeline=req.timeline,
                     )
             except Exception as exc:  # noqa: BLE001 - forwarded to the response
@@ -515,7 +515,7 @@ class NetServer:
         digest = content_digest(payload)
         key = chunk_key(
             digest,
-            dtype=str(arr.dtype), shape=arr.shape,
+            dtype=meta["dtype"], shape=arr.shape,
             err_bound=config.err_bound, mode=config.mode,
             block_size=config.block_size, checksum=config.checksum,
         )

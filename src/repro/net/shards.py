@@ -73,14 +73,13 @@ class ShardSet:
         )
 
     def submit_decompress(self, digest: str, stream,
-                          config: CodecConfig | None = None,
                           *, parent_span=None, timeline=None):
         """Route a decompress job; returns ``(shard_name, Future[ndarray])``."""
         name = self.shard_for(digest)
         if observe.enabled():
             observe.counter(f"net.shard.jobs.{name}").inc()
         return name, self._shards[name].submit_decompress(
-            stream, config, parent_span=parent_span, timeline=timeline
+            stream, parent_span=parent_span, timeline=timeline
         )
 
     def stats(self) -> dict:

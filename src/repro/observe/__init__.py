@@ -13,10 +13,6 @@ Three pieces (see docs/ARCHITECTURE.md §Observability):
 * **export** — the metrics exporter (:func:`render_prometheus`
   Prometheus text exposition, :class:`MetricsJsonlWriter` structured
   event feed, :class:`PeriodicMetricsFlusher`);
-* **perf** — the performance-telemetry subsystem (perf-record schema,
-  append-only ledger + ``BENCH_<suite>.json`` summaries, sampling
-  profiler, regression engine, fixed-seed suites) behind
-  ``szx perf record/compare/report``;
 * **telemetry** — distributed tracing for the serving stack:
   W3C-traceparent :class:`TraceContext` propagation, per-request
   :class:`RequestTimeline` stage ledgers + :class:`RequestLog` ring
@@ -109,8 +105,5 @@ __all__ = [
     "write_chrome_trace",
     "stitch_traces",
     "find_orphans",
-    "perf",
     "telemetry",
 ]
-
-from . import perf  # noqa: E402  (import-light; suites import codec lazily)

@@ -1,60 +1,10 @@
-"""repro.observe.perf — the performance-telemetry subsystem.
+"""repro.observe.perf — the environment fingerprint for benchmark records.
 
-Every benchmark and serve run becomes a durable, comparable record:
-
-* :mod:`record` — the versioned perf-record schema
-  (:class:`EnvFingerprint`, :class:`Workload`, :class:`PerfRecord`);
-* :mod:`ledger` — the append-only JSONL ledger under ``results/perf/``
-  plus rolling ``BENCH_<suite>.json`` summaries and run files
-  (:class:`PerfLedger`, :func:`load_run`, :func:`merge_records`);
-* :mod:`profile` — a stdlib-only sampling profiler attributing wall
-  time to ``repro.*`` frames with collapsed-stack output
-  (:func:`profile`, :class:`Profile`);
-* :mod:`regress` — the noise-aware regression engine behind
-  ``szx perf compare`` (:func:`compare_runs`, :class:`CaseDelta`);
-* :mod:`suites` — named fixed-seed benchmark suites (``smoke``)
-  recorded by ``szx perf record``.
-
-The schema and ledger are import-light (stdlib + numpy only); suite
-execution imports the codec lazily so ``repro.observe`` never depends
-on the compression layers at import time.
+:mod:`record` holds :class:`EnvFingerprint`, which ``perfbench``
+stamps on every workload record.  ``perfbench/`` is the repo's one
+performance harness (see ``perfbench/README.md``).
 """
 
-from .record import (
-    SCHEMA_VERSION,
-    EnvFingerprint,
-    PerfRecord,
-    Workload,
-)
-from .ledger import (
-    BENCH_PREFIX,
-    LEDGER_NAME,
-    PerfLedger,
-    load_run,
-    merge_records,
-    summarize_records,
-)
-from .profile import Profile, profile
-from .regress import CaseDelta, CompareReport, compare_runs, format_compare
-from .suites import SUITES, run_suite
+from .record import EnvFingerprint
 
-__all__ = [
-    "SCHEMA_VERSION",
-    "EnvFingerprint",
-    "Workload",
-    "PerfRecord",
-    "PerfLedger",
-    "LEDGER_NAME",
-    "BENCH_PREFIX",
-    "load_run",
-    "merge_records",
-    "summarize_records",
-    "Profile",
-    "profile",
-    "CaseDelta",
-    "CompareReport",
-    "compare_runs",
-    "format_compare",
-    "SUITES",
-    "run_suite",
-]
+__all__ = ["EnvFingerprint"]

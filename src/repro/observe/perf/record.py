@@ -1,11 +1,9 @@
-"""The versioned perf-record schema.
+"""The environment fingerprint stamped on every benchmark record.
 
-One :class:`PerfRecord` is one measured (environment, workload) pair:
-where it ran (:class:`EnvFingerprint`), what ran (:class:`Workload`),
-and what was measured (throughput/ratio metrics, per-repeat wall
-times, optional latency percentiles and per-stage span trees).  The
-JSON form is the ledger's wire format; ``schema`` is bumped on any
-incompatible change so old ledgers stay readable.
+:class:`EnvFingerprint` says where a measurement ran: interpreter,
+numpy, platform, machine, CPU count and the git commit.  ``perfbench``
+writes it into each workload's JSON record so two runs can be told
+apart by host before their numbers are compared.
 """
 
 from __future__ import annotations
@@ -15,11 +13,7 @@ import os
 import platform
 import subprocess
 import sys
-import time
-from dataclasses import dataclass, field
-
-#: Bump on incompatible changes to the record layout.
-SCHEMA_VERSION = 1
+from dataclasses import dataclass
 
 
 def _git_sha() -> str | None:
@@ -40,7 +34,7 @@ def _git_sha() -> str | None:
 
 @dataclass(frozen=True)
 class EnvFingerprint:
-    """Where a measurement ran — what must match for strict comparison."""
+    """Where a measurement ran."""
 
     python: str
     numpy: str
@@ -64,143 +58,3 @@ class EnvFingerprint:
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EnvFingerprint":
-        return cls(**{f.name: d.get(f.name) for f in dataclasses.fields(cls)})
-
-    def comparable_to(self, other: "EnvFingerprint") -> bool:
-        """True when throughput numbers are meaningfully comparable.
-
-        The git SHA is *expected* to differ between runs; the hardware
-        and interpreter are not.
-        """
-        return (
-            self.python == other.python
-            and self.numpy == other.numpy
-            and self.platform == other.platform
-            and self.machine == other.machine
-            and self.cpu_count == other.cpu_count
-        )
-
-
-@dataclass(frozen=True)
-class Workload:
-    """What was measured: one (dataset, config, operation) cell."""
-
-    suite: str
-    case: str                    # e.g. "compress/grf/vectorized/1e-3"
-    operation: str               # "compress" | "decompress" | "roundtrip"
-    dataset: str
-    dtype: str
-    shape: tuple
-    n_values: int
-    err_bound: float
-    mode: str = "rel"
-    block_size: int = 0
-    engine: str = "vectorized"
-    threads: int = 1
-    backend: str = "thread"
-    seed: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "shape", tuple(int(s) for s in self.shape))
-
-    def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["shape"] = list(self.shape)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Workload":
-        kwargs = {f.name: d[f.name] for f in dataclasses.fields(cls) if f.name in d}
-        return cls(**kwargs)
-
-
-@dataclass
-class PerfRecord:
-    """One durable measurement (the ledger's unit of comparison).
-
-    ``metrics`` holds the scalar results — ``throughput_mb_s`` and
-    ``ratio`` for codec workloads, arbitrary keys for others;
-    ``repeats_s`` keeps every repeat's wall time so the regression
-    engine can derive a noise tolerance; ``latency`` (optional) holds
-    percentile dicts; ``stages`` (optional) per-stage span trees;
-    ``profile`` (optional) a ``Profile.to_dict()`` document
-    (collapsed-stack lines plus sampling parameters).
-    """
-
-    workload: Workload
-    metrics: dict
-    repeats_s: list = field(default_factory=list)
-    latency: dict | None = None
-    stages: list | None = None
-    profile: dict | None = None
-    env: EnvFingerprint | None = None
-    recorded_at: float | None = None
-    schema: int = SCHEMA_VERSION
-
-    def __post_init__(self):
-        if self.env is None:
-            self.env = EnvFingerprint.capture()
-        if self.recorded_at is None:
-            self.recorded_at = time.time()
-
-    # -- derived --------------------------------------------------------
-    @property
-    def case(self) -> str:
-        return self.workload.case
-
-    @property
-    def wall_s_best(self) -> float | None:
-        return min(self.repeats_s) if self.repeats_s else None
-
-    @property
-    def noise_cv(self) -> float:
-        """Coefficient of variation across repeats (0 when < 2 repeats)."""
-        xs = self.repeats_s
-        if len(xs) < 2:
-            return 0.0
-        mean = sum(xs) / len(xs)
-        if mean <= 0:
-            return 0.0
-        var = sum((x - mean) ** 2 for x in xs) / (len(xs) - 1)
-        return (var ** 0.5) / mean
-
-    # -- wire format ----------------------------------------------------
-    def to_dict(self) -> dict:
-        d = {
-            "schema": self.schema,
-            "recorded_at": self.recorded_at,
-            "env": self.env.to_dict(),
-            "workload": self.workload.to_dict(),
-            "metrics": dict(self.metrics),
-            "repeats_s": list(self.repeats_s),
-        }
-        if self.latency is not None:
-            d["latency"] = dict(self.latency)
-        if self.stages is not None:
-            d["stages"] = list(self.stages)
-        if self.profile is not None:
-            d["profile"] = dict(self.profile)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PerfRecord":
-        schema = int(d.get("schema", 0))
-        if schema > SCHEMA_VERSION:
-            raise ValueError(
-                f"perf record schema {schema} is newer than supported "
-                f"{SCHEMA_VERSION}"
-            )
-        return cls(
-            workload=Workload.from_dict(d["workload"]),
-            metrics=dict(d.get("metrics", {})),
-            repeats_s=list(d.get("repeats_s", [])),
-            latency=d.get("latency"),
-            stages=d.get("stages"),
-            profile=d.get("profile"),
-            env=EnvFingerprint.from_dict(d.get("env", {})),
-            recorded_at=d.get("recorded_at"),
-            schema=schema or SCHEMA_VERSION,
-        )

@@ -13,9 +13,12 @@ two ways —
   which overlap stages already charged by ``mark`` and therefore do not
   advance the sequential clock.
 
-The finished ledger travels back to the client in response metadata and
-is retained server-side in a :class:`RequestLog` ring buffer, which is
-what ``GET /debug/requests`` and ``szx trace <request-id>`` read.
+:meth:`~RequestTimeline.finish` seals the ledger: later marks and puts
+(say, from a worker whose job outlived its request's deadline) are
+dropped.  The ledger travels back to the client in response metadata,
+and the sealed timeline is retained server-side in a :class:`RequestLog`
+ring buffer, which is what ``GET /debug/requests`` and ``szx trace
+<request-id>`` read.
 """
 
 from __future__ import annotations
@@ -64,6 +67,8 @@ class RequestTimeline:
         """Charge the time since the previous mark to *stage*."""
         now = time.perf_counter()
         with self._lock:
+            if self.finished_at:
+                return 0.0
             dt = now - self._t_last
             self._t_last = now
             self._stages[stage] = self._stages.get(stage, 0.0) + dt
@@ -74,6 +79,8 @@ class RequestTimeline:
         if seconds < 0:
             seconds = 0.0
         with self._lock:
+            if self.finished_at:
+                return
             self._stages[stage] = self._stages.get(stage, 0.0) + seconds
 
     def set(self, *, bytes_in=None, bytes_out=None, tenant=None,
@@ -89,10 +96,11 @@ class RequestTimeline:
         return self
 
     def finish(self, status: str = "ok", *, error: str | None = None):
-        """Stamp the terminal status.  Idempotent."""
-        if self.finished_at:
-            return self
-        self.finished_at = time.perf_counter()
+        """Stamp the terminal status and seal the ledger.  Idempotent."""
+        with self._lock:
+            if self.finished_at:
+                return self
+            self.finished_at = time.perf_counter()
         self.status = status
         self.error = error
         return self
@@ -100,13 +108,17 @@ class RequestTimeline:
     # -- derived --------------------------------------------------------
     @property
     def total_s(self) -> float:
-        end = self.finished_at or time.perf_counter()
-        return end - self.started_at
+        with self._lock:
+            end = self.finished_at
+        return (end or time.perf_counter()) - self.started_at
 
     def stages_ms(self) -> dict[str, float]:
-        """Stage ledger in milliseconds (insertion order preserved)."""
+        """Stage ledger in milliseconds, rounded to the microsecond
+        (insertion order preserved).  Stages are never negative, so
+        ``int(us + 0.5)`` rounds like ``round`` at half the cost."""
         with self._lock:
-            return {k: round(v * 1e3, 3) for k, v in self._stages.items()}
+            return {k: int(v * 1e6 + 0.5) / 1e3
+                    for k, v in self._stages.items()}
 
     def to_dict(self) -> dict:
         d = {
@@ -131,23 +143,27 @@ class RequestTimeline:
 class RequestLog:
     """Fixed-size ring buffer of finished request timelines.
 
-    Entries are immutable snapshots (dicts) taken at record time, so the
-    asyncio thread can serve ``/debug/requests`` without racing worker
-    threads still holding the timeline object.
+    It keeps the sealed timelines themselves and builds each entry dict
+    only when read, so the request path pays one append.  A sealed
+    timeline no longer changes, so a read sees what a snapshot taken
+    at record time would have held.
     """
 
     def __init__(self, capacity: int = 256, *, slow_ms: float = 100.0):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.slow_ms = float(slow_ms)
-        self._entries: deque[dict] = deque(maxlen=capacity)
+        self._entries: deque[RequestTimeline] = deque(maxlen=capacity)
         self._lock = threading.Lock()
 
-    def record(self, timeline: RequestTimeline) -> dict:
+    def record(self, timeline: RequestTimeline) -> None:
+        """Retain a timeline; :meth:`~RequestTimeline.finish` it first."""
+        with self._lock:
+            self._entries.append(timeline)
+
+    def _entry(self, timeline: RequestTimeline) -> dict:
         entry = timeline.to_dict()
         entry["slow"] = entry["total_ms"] >= self.slow_ms
-        with self._lock:
-            self._entries.append(entry)
         return entry
 
     @property
@@ -161,10 +177,9 @@ class RequestLog:
     def get(self, request_id: str) -> dict | None:
         """The most recent entry with this request id (None if evicted)."""
         with self._lock:
-            for entry in reversed(self._entries):
-                if entry["request_id"] == request_id:
-                    return dict(entry)
-        return None
+            found = next((tl for tl in reversed(self._entries)
+                          if tl.request_id == request_id), None)
+        return None if found is None else self._entry(found)
 
     def snapshot(self, *, request_id: str | None = None,
                  errors_only: bool = False, slow_only: bool = False,
@@ -173,14 +188,15 @@ class RequestLog:
         with self._lock:
             entries = list(self._entries)
         out = []
-        for entry in reversed(entries):
-            if request_id is not None and entry["request_id"] != request_id:
+        for timeline in reversed(entries):
+            if request_id is not None and timeline.request_id != request_id:
                 continue
-            if errors_only and entry["status"] == "ok":
+            if errors_only and timeline.status == "ok":
                 continue
+            entry = self._entry(timeline)
             if slow_only and not entry["slow"]:
                 continue
-            out.append(dict(entry))
+            out.append(entry)
             if len(out) >= limit:
                 break
         return out

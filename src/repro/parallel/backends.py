@@ -4,8 +4,8 @@ Two backends execute the paper's Section 6.1 block decomposition:
 
 * ``"thread"`` — the OpenMP-style :class:`ThreadPoolExecutor` harness
   (:mod:`repro.parallel.omp`).  numpy kernels release the GIL, but the
-  Python-level glue between them still serializes, which is why the
-  perf ledger shows no thread scaling on interpreter-bound workloads.
+  Python-level glue between them still serializes, which is why
+  threads do not scale on interpreter-bound workloads.
 * ``"process"`` — the :class:`ProcessPoolExecutor` +
   ``multiprocessing.shared_memory`` harness
   (:mod:`repro.parallel.procpool`): one interpreter per worker, arrays

@@ -296,7 +296,6 @@ class CompressionService:
     def submit_decompress(
         self,
         stream,
-        config: CodecConfig | None = None,
         *,
         timeout_s: float | None = None,
         block: bool | None = None,
@@ -305,8 +304,8 @@ class CompressionService:
     ) -> Future:
         """Enqueue a decompression job; returns a ``Future[ndarray]``.
 
-        *config* is accepted for symmetry with :meth:`submit_compress`;
-        a stream's header carries everything decoding needs.
+        The stream's header carries everything decoding needs, so there
+        is no config: the job runs on the service's own workers.
         """
         now = time.monotonic()
         job = _Job(
@@ -330,9 +329,9 @@ class CompressionService:
         """Synchronous convenience: submit and wait."""
         return self.submit_compress(data, config, **kw).result()
 
-    def decompress(self, stream, config: CodecConfig | None = None, **kw):
+    def decompress(self, stream, **kw):
         """Synchronous convenience: submit and wait."""
-        return self.submit_decompress(stream, config, **kw).result()
+        return self.submit_decompress(stream, **kw).result()
 
     # -- dispatcher -----------------------------------------------------
     def _dispatch(self) -> None:

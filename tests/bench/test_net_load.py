@@ -1,12 +1,8 @@
-"""net_load driver: report shape, duplicate speedup, perf records."""
+"""net_load driver: report shape and duplicate speedup."""
 
 import numpy as np
 
-from repro.bench.net_load import (
-    format_net_report,
-    net_load_perf_records,
-    run_net_load,
-)
+from repro.bench.net_load import format_net_report, run_net_load
 
 
 class TestNetLoad:
@@ -48,20 +44,6 @@ class TestNetLoad:
         )
         text = format_net_report(report)
         assert "net-bench:" in text and "cache speedup" in text
-
-    def test_perf_records_feed_the_regression_engine(self):
-        from repro.observe.perf import compare_runs
-
-        report = run_net_load(
-            chunks=6, values_per_chunk=512, clients=2, shards=1, warmup=1
-        )
-        records = net_load_perf_records(report)
-        assert [r.workload.operation for r in records] == \
-            ["compress", "compress"]
-        assert all(r.latency and "p99_ms" in r.latency for r in records)
-        # A run compared against itself is never a regression.
-        cmp = compare_runs(records, records, threshold=0.9)
-        assert not cmp.regressions
 
     def test_json_serializable(self):
         import json

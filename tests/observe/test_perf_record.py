@@ -1,35 +1,13 @@
-"""Perf-record schema + ledger: round trips, summaries, merge."""
+"""EnvFingerprint, and that ``import repro`` leaves it unloaded."""
 
 import json
+import os
+import subprocess
+import sys
 
-import pytest
+from repro.observe.perf.record import EnvFingerprint
 
-from repro.observe.perf import (
-    SCHEMA_VERSION,
-    EnvFingerprint,
-    PerfLedger,
-    PerfRecord,
-    Workload,
-    load_run,
-    merge_records,
-    summarize_records,
-)
-
-
-def make_record(case="compress/grf", mb_s=100.0, *, env=None, at=1000.0,
-                repeats=(0.01, 0.011, 0.012), latency=None):
-    return PerfRecord(
-        workload=Workload(
-            suite="smoke", case=case, operation=case.split("/")[0],
-            dataset="grf", dtype="float32", shape=(64, 64, 64),
-            n_values=64 ** 3, err_bound=1e-3,
-        ),
-        metrics={"throughput_mb_s": mb_s, "ratio": 1.59},
-        repeats_s=list(repeats),
-        latency=latency,
-        env=env or EnvFingerprint.capture(),
-        recorded_at=at,
-    )
+REPO_SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 
 
 class TestEnvFingerprint:
@@ -42,124 +20,20 @@ class TestEnvFingerprint:
 
     def test_round_trip(self):
         env = EnvFingerprint.capture()
-        assert EnvFingerprint.from_dict(env.to_dict()) == env
-
-    def test_comparable_ignores_git_sha(self):
-        env = EnvFingerprint.capture()
-        other = EnvFingerprint.from_dict({**env.to_dict(), "git_sha": "deadbeef"})
-        assert env.comparable_to(other)
-
-    def test_not_comparable_across_machines(self):
-        env = EnvFingerprint.capture()
-        other = EnvFingerprint.from_dict({**env.to_dict(), "cpu_count": env.cpu_count + 8})
-        assert not env.comparable_to(other)
+        wire = json.loads(json.dumps(env.to_dict()))
+        assert EnvFingerprint(**wire) == env
 
 
-class TestPerfRecord:
-    def test_json_round_trip(self):
-        rec = make_record(latency={"p50_ms": 1.0, "p95_ms": 2.0})
-        wire = json.loads(json.dumps(rec.to_dict()))
-        back = PerfRecord.from_dict(wire)
-        assert back.case == rec.case
-        assert back.metrics == rec.metrics
-        assert back.repeats_s == rec.repeats_s
-        assert back.latency == rec.latency
-        assert back.workload.shape == (64, 64, 64)
-        assert back.env == rec.env
-        assert back.schema == SCHEMA_VERSION
-
-    def test_noise_cv(self):
-        rec = make_record(repeats=(1.0, 1.0, 1.0))
-        assert rec.noise_cv == 0.0
-        noisy = make_record(repeats=(1.0, 2.0, 3.0))
-        assert noisy.noise_cv > 0.3
-        single = make_record(repeats=(1.0,))
-        assert single.noise_cv == 0.0
-
-    def test_wall_s_best(self):
-        assert make_record(repeats=(0.5, 0.2, 0.9)).wall_s_best == 0.2
-
-    def test_future_schema_rejected(self):
-        d = make_record().to_dict()
-        d["schema"] = SCHEMA_VERSION + 1
-        with pytest.raises(ValueError, match="newer"):
-            PerfRecord.from_dict(d)
-
-    def test_env_and_timestamp_default(self):
-        rec = PerfRecord(
-            workload=make_record().workload, metrics={}, repeats_s=[0.1]
+class TestImportCost:
+    def test_import_repro_does_not_load_perf(self):
+        """``import repro`` must not pull in the benchmark fingerprint."""
+        code = (
+            "import sys, repro, repro.observe; "
+            "print('repro.observe.perf' in sys.modules)"
         )
-        assert rec.env is not None
-        assert rec.recorded_at is not None
-
-
-class TestPerfLedger:
-    def test_append_and_read(self, tmp_path):
-        led = PerfLedger(tmp_path)
-        led.append([make_record(mb_s=10.0), make_record("decompress/grf", 20.0)])
-        led.append([make_record(mb_s=11.0, at=2000.0)])
-        records = led.read()
-        assert len(records) == 3
-        assert records[0].metrics["throughput_mb_s"] == 10.0
-        # append-only: lines accumulate, never rewrite
-        assert len(led.ledger_path.read_text().splitlines()) == 3
-
-    def test_read_empty(self, tmp_path):
-        assert PerfLedger(tmp_path).read() == []
-
-    def test_run_file_round_trip(self, tmp_path):
-        led = PerfLedger(tmp_path)
-        recs = [make_record(), make_record("decompress/grf", 50.0)]
-        path = led.write_run("baseline", "smoke", recs)
-        meta, back = load_run(path)
-        assert meta["label"] == "baseline"
-        assert meta["suite"] == "smoke"
-        assert meta["schema"] == SCHEMA_VERSION
-        assert [r.case for r in back] == ["compress/grf", "decompress/grf"]
-
-    def test_resolve_run_by_label_and_path(self, tmp_path):
-        led = PerfLedger(tmp_path)
-        path = led.write_run("a", "smoke", [make_record()])
-        assert led.resolve_run("a") == led.run_path("a")
-        assert led.resolve_run(path) == path
-        with pytest.raises(FileNotFoundError):
-            led.resolve_run("nope")
-
-    def test_bench_summary_rolls_history(self, tmp_path):
-        led = PerfLedger(tmp_path)
-        for i, mb_s in enumerate([100.0, 110.0, 105.0]):
-            led.update_bench_summary(
-                "smoke", [make_record(mb_s=mb_s, at=1000.0 + i)]
-            )
-        doc = json.loads(led.bench_path("smoke").read_text())
-        entry = doc["cases"]["compress/grf"]
-        assert entry["history_mb_s"] == [100.0, 110.0, 105.0]
-        assert entry["n_runs"] == 3
-        assert entry["metrics"]["throughput_mb_s"] == 105.0
-        assert doc["suite"] == "smoke"
-        assert doc["env"]["cpu_count"] >= 1
-
-    def test_record_run_writes_all_three(self, tmp_path):
-        led = PerfLedger(tmp_path)
-        paths = led.record_run("a", "smoke", [make_record()])
-        assert paths["ledger"].exists()
-        assert paths["run"].exists()
-        assert paths["bench"].name == "BENCH_smoke.json"
-        assert paths["bench"].exists()
-
-
-class TestMergeAndSummarize:
-    def test_merge_keeps_newest_per_case(self):
-        old = make_record(mb_s=10.0, at=100.0)
-        new = make_record(mb_s=20.0, at=200.0)
-        other = make_record("decompress/grf", 30.0, at=150.0)
-        merged = merge_records([old, other], [new])
-        by_case = {r.case: r for r in merged}
-        assert by_case["compress/grf"].metrics["throughput_mb_s"] == 20.0
-        assert len(merged) == 2
-
-    def test_summarize(self):
-        cases = summarize_records([make_record(), make_record("decompress/grf", 50.0)])
-        assert set(cases) == {"compress/grf", "decompress/grf"}
-        assert cases["compress/grf"]["metrics"]["throughput_mb_s"] == 100.0
-        assert cases["compress/grf"]["noise_cv"] >= 0.0
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(REPO_SRC))
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, env=env, timeout=60, check=True,
+        )
+        assert out.stdout.strip() == "False"

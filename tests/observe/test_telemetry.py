@@ -116,6 +116,15 @@ class TestRequestTimeline:
         assert tl.status == "ok"
         assert tl.error is None
 
+    def test_finish_seals_the_ledger(self):
+        tl = RequestTimeline("c")
+        tl.mark("read")
+        tl.finish()
+        before = tl.stages_ms()
+        tl.mark("write")
+        tl.put("kernel", 1.0)
+        assert tl.stages_ms() == before
+
     def test_to_dict_shape(self):
         tl = RequestTimeline(
             "compress", tenant="acme", trace_id="ab" * 16
@@ -164,7 +173,8 @@ class TestRequestLog:
 
     def test_slow_classification(self):
         log = RequestLog(capacity=4, slow_ms=1e9)
-        entry = log.record(self._finished())
+        log.record(self._finished())
+        (entry,) = log.snapshot()
         assert entry["slow"] is False
 
     def test_capacity_validated(self):

@@ -103,7 +103,7 @@ class TestGrouping:
         assert not is_batchable(FakeJob(np.empty(0, np.float32)))
 
 
-class TestMicroBatcher:
+class TestCoalesce:
     """The sealing rules, as :func:`coalesce` applies them to a drained
     backlog."""
 
