@@ -32,9 +32,16 @@ Request lifecycle (compress):
 Graceful drain (SIGTERM, or SIGHUP for reload scripts): stop accepting
 connections, finish every admitted request, answer new requests with
 ``draining``, close the shards (which drain their own queues), then
-wake :meth:`serve_forever`.  ``net.*`` counters/histograms and
-``net.request`` spans (with job spans nested under them across the
-thread boundary) feed :mod:`repro.observe` when enabled.
+wake :meth:`serve_forever`.
+
+Each compress/decompress request (and each binary health/stats probe)
+has one :class:`~repro.observe.telemetry.RequestTimeline`, opened at
+its first byte: the stage ledger travels with the request through the
+fair queue, the shard set and the service, and its ``net.request`` span
+(with job spans nested under it across the thread boundary) is the
+traced view of the same record.  The sealed timeline alone feeds the
+``net.request.latency_s.<verb>`` histogram, the ``net.responses.*``
+counters, the request log and the SLO engine.
 """
 
 from __future__ import annotations
@@ -79,10 +86,10 @@ class _Request:
     """One admitted request travelling handler → fair queue → dispatcher."""
 
     __slots__ = ("kind", "meta", "payload", "digest", "config", "array",
-                 "tenant", "future", "span", "shard", "timeline")
+                 "tenant", "future", "shard", "timeline")
 
     def __init__(self, kind, meta, payload, digest, config, array, tenant,
-                 future, span, timeline=None):
+                 future, timeline):
         self.kind = kind
         self.meta = meta
         self.payload = payload
@@ -91,7 +98,6 @@ class _Request:
         self.array = array
         self.tenant = tenant
         self.future = future
-        self.span = span
         self.shard = None
         self.timeline = timeline
 
@@ -260,21 +266,16 @@ class NetServer:
                 observe.gauge(f"net.tenant.pending.{tenant}").set(
                     self._queue.pending(tenant)
                 )
-            if req.timeline is not None:
-                req.timeline.mark("queue_wait")
-            # Nest the worker-side job spans under the wire request span
-            # (detached spans cross the thread boundary safely).
-            parent = req.span if isinstance(req.span, observe.Span) else None
+            req.timeline.mark("queue_wait")
             try:
                 if req.kind == protocol.COMPRESS:
                     req.shard, fut = self.shards.submit_compress(
                         req.digest, req.array, req.config,
-                        parent_span=parent, timeline=req.timeline,
+                        timeline=req.timeline,
                     )
                 else:
                     req.shard, fut = self.shards.submit_decompress(
-                        req.digest, req.payload,
-                        parent_span=parent, timeline=req.timeline,
+                        req.digest, req.payload, timeline=req.timeline,
                     )
             except Exception as exc:  # noqa: BLE001 - forwarded to the response
                 if not req.future.done():
@@ -312,7 +313,8 @@ class NetServer:
             else:
                 await self._handle_binary(reader, writer, first)
         except (ConnectionResetError, BrokenPipeError, OSError,
-                ConnectionClosedError, asyncio.CancelledError):
+                ConnectionClosedError, asyncio.IncompleteReadError,
+                asyncio.CancelledError):
             pass  # analyze: ignore[hygiene] - peer went away; nothing to answer
         finally:
             self._conn_writers.discard(writer)
@@ -339,6 +341,7 @@ class NetServer:
             reject = self._draining
             t_first = time.perf_counter()
             self._enter_request()
+            timeline = reply = None
             try:
                 try:
                     frame = await protocol.read_frame(
@@ -347,7 +350,9 @@ class NetServer:
                 except ProtocolError as exc:
                     if observe.enabled():
                         observe.counter("net.errors.protocol").inc()
-                    writer.write(self._error_frame("bad_request", str(exc)))
+                    writer.write(protocol.encode_frame(
+                        *self._error("bad_request", str(exc))
+                    ))
                     await writer.drain()
                     return
                 if frame is None:
@@ -355,84 +360,76 @@ class NetServer:
                 kind, meta, payload = frame
                 ctx = parse_traceparent(frame.ctx) if frame.ctx else None
                 timeline = self._new_timeline(kind, payload, ctx, t_first)
-                timeline.mark("read")
-                code, rmeta, rpayload = await self._process(
-                    kind, meta, payload, reject_draining=reject,
-                    ctx=ctx, timeline=timeline,
+                reply = await self._process(
+                    timeline, kind, meta, payload, reject
                 )
                 # Answer in the version the request arrived in: an SXP1
                 # client must never see the SXP2 magic.
-                reply_ctx = frame.ctx if frame.version >= 2 else None
                 out = protocol.encode_frame(
-                    code, rmeta, rpayload,
-                    ctx=reply_ctx, version=frame.version,
+                    *reply, version=frame.version,
+                    ctx=frame.ctx if frame.version >= 2 else None,
                 )
                 timeline.mark("serialize")
                 writer.write(out)
                 await writer.drain()
                 timeline.mark("write")
-                self._finish_timeline(timeline, kind, code, len(rpayload))
             finally:
+                if timeline is not None:
+                    self._finish_timeline(timeline, reply)
                 self._exit_request()
 
-    def _new_timeline(self, kind: int, payload: bytes, ctx,
+    @staticmethod
+    def _new_timeline(kind: int, payload: bytes, ctx,
                       started_at: float) -> RequestTimeline:
-        """Stage ledger for one wire request (always on, span-free)."""
-        return RequestTimeline(
+        """The one record of a wire request, read up to here."""
+        timeline = RequestTimeline(
             protocol.REQUEST_KINDS.get(kind, f"0x{kind:02x}"),
-            request_id=ctx.request_id if ctx is not None else None,
-            trace_id=ctx.trace_id if ctx is not None else None,
-            started_at=started_at,
+            context=ctx, started_at=started_at,
         ).set(bytes_in=len(payload))
+        timeline.mark("read")
+        return timeline
 
-    def _finish_timeline(self, timeline: RequestTimeline, kind: int,
-                         code: int, bytes_out: int) -> None:
-        """Seal the ledger; feed the request ring buffer and the SLO
-        engine (compress/decompress only — health and stats probes are
-        not part of the served workload)."""
-        if protocol.REQUEST_KINDS.get(kind) not in ("compress", "decompress"):
-            return
-        status = protocol.RESPONSE_KINDS.get(code, f"0x{code:02x}")
-        timeline.set(bytes_out=bytes_out)
-        timeline.finish(status,
-                        error=None if status == "ok" else status)
-        self.request_log.record(timeline)
-        self.slo.record(timeline.total_s, error=status in SLO_ERROR_CODES)
+    def _finish_timeline(self, timeline: RequestTimeline, reply) -> None:
+        """Seal the ledger — closing its span — and record the request.
 
-    def _error_frame(self, code: str, message: str,
-                     retry_after_s: float | None = None) -> bytes:
-        meta = {"error": message, "code": code,
-                "retryable": code in ("overloaded", "rate_limited", "draining")}
-        if retry_after_s is not None:
-            meta["retry_after_s"] = retry_after_s
-        if observe.enabled():
-            observe.counter(f"net.responses.{code}").inc()
-        return protocol.encode_frame(
-            protocol.ERROR_KIND_FOR_CODE[code], meta
+        This is the only place a request is counted: the latency
+        histogram and the response counter for every verb, the request
+        log and the SLO engine for compress/decompress (health and stats
+        probes are not part of the served workload).  *reply* is None
+        when the request ended without one (its task was cancelled).
+        """
+        code, rmeta, rpayload = reply or self._error(
+            "internal", "request abandoned before a reply"
         )
+        status = protocol.RESPONSE_KINDS[code]
+        timeline.set(bytes_out=len(rpayload))
+        timeline.finish(status, error=None if status == "ok" else status,
+                        cache=rmeta.get("cache"), shard=rmeta.get("shard"))
+        if observe.enabled():
+            observe.histogram(
+                f"net.request.latency_s.{timeline.verb}"
+            ).observe(timeline.total_s)
+            observe.counter(f"net.responses.{status}").inc()
+            observe.counter("net.bytes_out").inc(len(rpayload))
+        if timeline.verb in ("compress", "decompress"):
+            self.request_log.record(timeline)
+            self.slo.record(timeline.total_s,
+                            error=status in SLO_ERROR_CODES)
 
     # -- request processing ----------------------------------------------
-    async def _process(self, kind: int, meta: dict, payload: bytes, *,
-                       reject_draining: bool | None = None,
-                       ctx=None, timeline: RequestTimeline | None = None,
-                       ) -> tuple[int, dict, bytes]:
+    async def _process(self, timeline: RequestTimeline, kind: int,
+                       meta: dict, payload: bytes,
+                       reject_draining: bool) -> tuple[int, dict, bytes]:
         """Execute one request; returns ``(response kind, meta, payload)``.
 
+        *timeline* is the request's record (its ledger and span);
         *reject_draining* is the drain snapshot taken when the request's
-        first byte arrived; requests already in flight when the drain
-        began run to completion (None falls back to the live flag).
-        *ctx* is the propagated :class:`TraceContext` (if the peer sent
-        one) and *timeline* the per-request stage ledger — both handlers
-        supply them; direct callers (tests) may omit them.
+        first byte arrived, so requests already in flight when the drain
+        began run to completion.
         """
-        if reject_draining is None:
-            reject_draining = self._draining
         verb = protocol.REQUEST_KINDS.get(kind)
         if verb is None:
             return self._error("bad_request", f"unknown verb 0x{kind:02x}")
-        if timeline is None:
-            timeline = self._new_timeline(kind, payload, ctx,
-                                          time.perf_counter())
         if observe.enabled():
             observe.counter(f"net.requests.{verb}").inc()
             observe.counter("net.bytes_in").inc(len(payload))
@@ -459,24 +456,18 @@ class NetServer:
             )
             rmeta["request_id"] = timeline.request_id
             return code, rmeta, rpayload
-        t0 = time.monotonic()
         self._enter_request()
         try:
             if verb == "compress":
                 result = await self._process_compress(
-                    meta, payload, tenant, ctx, timeline
+                    meta, payload, tenant, timeline
                 )
             else:
                 result = await self._process_decompress(
-                    meta, payload, tenant, ctx, timeline
+                    meta, payload, tenant, timeline
                 )
         finally:
             self._exit_request()
-        if observe.enabled():
-            observe.histogram(f"net.request.latency_s.{verb}").observe(
-                time.monotonic() - t0
-            )
-            observe.counter("net.bytes_out").inc(len(result[2]))
         code, rmeta, rpayload = result
         rmeta = dict(rmeta)
         rmeta["request_id"] = timeline.request_id
@@ -489,8 +480,6 @@ class NetServer:
                 "retryable": code in ("overloaded", "rate_limited", "draining")}
         if retry_after_s is not None:
             meta["retry_after_s"] = retry_after_s
-        if observe.enabled():
-            observe.counter(f"net.responses.{code}").inc()
         return protocol.ERROR_KIND_FOR_CODE[code], meta, b""
 
     def _request_config(self, meta: dict) -> CodecConfig:
@@ -504,7 +493,7 @@ class NetServer:
             checksum=bool(meta.get("checksum", base.checksum)),
         )
 
-    async def _process_compress(self, meta, payload, tenant, ctx, timeline):
+    async def _process_compress(self, meta, payload, tenant, timeline):
         try:
             config = self._request_config(meta)
             if config.err_bound is None:
@@ -519,74 +508,42 @@ class NetServer:
             err_bound=config.err_bound, mode=config.mode,
             block_size=config.block_size, checksum=config.checksum,
         )
-        sp = observe.open_span(
-            "net.request", bytes_in=len(payload), context=ctx,
-            verb="compress", tenant=tenant, digest=digest[:12],
-        )
-        self._join_trace(timeline, sp, ctx)
         cached = self.cache.get(key)
         timeline.mark("cache_lookup")
         if cached is not None:
-            sp.set(bytes_out=len(cached), cache="hit").finish()
-            if observe.enabled():
-                observe.counter("net.responses.ok").inc()
             return protocol.OK, {"cache": "hit", "digest": digest}, cached
         ok, resp = await self._run_on_shard(
             protocol.COMPRESS, meta, payload, tenant, digest, config, arr,
-            sp, timeline,
+            timeline,
         )
         if not ok:
             return resp
         req, stream = resp
         self.cache.put(key, stream)
         timeline.mark("stitch")
-        sp.set(bytes_out=len(stream), cache="miss", shard=req.shard).finish()
-        if observe.enabled():
-            observe.counter("net.responses.ok").inc()
         return protocol.OK, {
             "cache": "miss", "digest": digest, "shard": req.shard,
         }, stream
 
-    async def _process_decompress(self, meta, payload, tenant, ctx, timeline):
+    async def _process_decompress(self, meta, payload, tenant, timeline):
         if not payload:
             return self._error("bad_request", "decompress needs a stream payload")
         digest = content_digest(payload)
-        sp = observe.open_span(
-            "net.request", bytes_in=len(payload), context=ctx,
-            verb="decompress", tenant=tenant, digest=digest[:12],
-        )
-        self._join_trace(timeline, sp, ctx)
         ok, resp = await self._run_on_shard(
             protocol.DECOMPRESS, meta, payload, tenant, digest, None, None,
-            sp, timeline,
+            timeline,
         )
         if not ok:
             return resp
         req, arr = resp
         out = arr.tobytes()
         timeline.mark("stitch")
-        sp.set(bytes_out=len(out), shard=req.shard).finish()
-        if observe.enabled():
-            observe.counter("net.responses.ok").inc()
         rmeta = protocol.array_wire_meta(arr)
         rmeta["shard"] = req.shard
         return protocol.OK, rmeta, out
 
-    @staticmethod
-    def _join_trace(timeline, sp, ctx) -> None:
-        """Tie the stage ledger to the server span's trace.
-
-        When the peer did not send a context but tracing is on, the
-        server span starts a fresh trace — adopt its id as the request
-        id so ``szx trace`` and the span tree agree on names.
-        """
-        if sp.trace_id:
-            timeline.set(trace_id=sp.trace_id)
-            if ctx is None:
-                timeline.request_id = sp.trace_id[:16]
-
     async def _run_on_shard(self, kind, meta, payload, tenant, digest,
-                            config, arr, sp, timeline=None):
+                            config, arr, timeline):
         """Queue a request through WFQ → shard; await the result.
 
         Returns ``(True, (request, result))`` or ``(False, error_triple)``.
@@ -594,7 +551,7 @@ class NetServer:
         policy = self.quotas.policy(tenant)
         req = _Request(
             kind, meta, payload, digest, config, arr, tenant,
-            asyncio.get_running_loop().create_future(), sp, timeline,
+            asyncio.get_running_loop().create_future(), timeline,
         )
         try:
             self._queue.push(
@@ -602,7 +559,6 @@ class NetServer:
                 weight=policy.weight, max_pending=policy.max_pending,
             )
         except QueueFullError as exc:
-            sp.finish(error=exc)
             return False, self._error("overloaded", str(exc), retry_after_s=0.1)
         if observe.enabled():
             observe.gauge(f"net.tenant.pending.{tenant}").set(
@@ -612,23 +568,19 @@ class NetServer:
         try:
             result = await req.future
         except (ServiceOverloadedError, JobTimeoutError) as exc:
-            sp.finish(error=exc)
             return False, self._error("overloaded", str(exc), retry_after_s=0.1)
         except ServiceClosedError as exc:
-            sp.finish(error=exc)
             return False, self._error(
                 "draining" if self._draining else "internal", str(exc),
                 retry_after_s=1.0 if self._draining else None,
             )
         except Exception as exc:  # noqa: BLE001 - every fault becomes a typed reply
-            sp.finish(error=exc)
             if observe.enabled():
                 observe.counter("net.errors.internal").inc()
             return False, self._error(
                 "internal", f"{type(exc).__name__}: {exc}"
             )
-        if timeline is not None:
-            timeline.mark("execute")
+        timeline.mark("execute")
         return True, (req, result)
 
     # -- stats / health ---------------------------------------------------
@@ -700,7 +652,15 @@ class NetServer:
                 observe.counter("net.errors.protocol").inc()
             await self._http_reply(writer, 400, {"error": str(exc)})
             return
-        length = int(headers.get("content-length", "0") or "0")
+        raw_length = headers.get("content-length") or "0"
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            if observe.enabled():
+                observe.counter("net.errors.protocol").inc()
+            await self._http_reply(writer, 400, self._error(
+                "bad_request", f"bad Content-Length {raw_length!r}"
+            )[1])
+            return
+        length = int(raw_length)
         if length > self.max_frame:
             await self._http_reply(
                 writer, 413, {"error": f"body of {length} bytes over cap"}
@@ -739,11 +699,17 @@ class NetServer:
                 else protocol.DECOMPRESS)
         ctx = parse_traceparent(headers.get("traceparent"))
         timeline = self._new_timeline(kind, body, ctx, t_first)
-        timeline.mark("read")
-        code, rmeta, rpayload = await self._process(
-            kind, meta, body, reject_draining=reject,
-            ctx=ctx, timeline=timeline,
-        )
+        reply = None
+        try:
+            reply = await self._process(timeline, kind, meta, body, reject)
+            await self._http_answer(writer, timeline, *reply)
+        finally:
+            self._finish_timeline(timeline, reply)
+
+    async def _http_answer(self, writer, timeline: RequestTimeline,
+                           code: int, rmeta: dict, rpayload: bytes) -> None:
+        """Write a compress/decompress reply: the body plus ``X-SZX-*``
+        metadata headers on success, a JSON error document otherwise."""
         status_name = protocol.RESPONSE_KINDS[code]
         if status_name == "ok":
             extra = {
@@ -756,7 +722,6 @@ class NetServer:
                 writer, 200, rpayload, raw=True, extra_headers=extra
             )
             timeline.mark("write")
-            self._finish_timeline(timeline, kind, code, len(rpayload))
             return
         http_status = {
             "bad_request": 400, "rate_limited": 429,
@@ -768,7 +733,6 @@ class NetServer:
         await self._http_reply(writer, http_status, rmeta,
                                extra_headers=extra)
         timeline.mark("write")
-        self._finish_timeline(timeline, kind, code, 0)
 
     async def _http_debug_requests(self, writer, query: str) -> None:
         """Serve the recent-request ring buffer with optional filters."""

@@ -63,23 +63,22 @@ class ShardSet:
         return self._shards[name]
 
     def submit_compress(self, digest: str, arr, config: CodecConfig,
-                        *, parent_span=None, timeline=None):
+                        *, timeline=None):
         """Route a compress job; returns ``(shard_name, Future[bytes])``."""
         name = self.shard_for(digest)
         if observe.enabled():
             observe.counter(f"net.shard.jobs.{name}").inc()
         return name, self._shards[name].submit_compress(
-            arr, config, parent_span=parent_span, timeline=timeline
+            arr, config, timeline=timeline
         )
 
-    def submit_decompress(self, digest: str, stream,
-                          *, parent_span=None, timeline=None):
+    def submit_decompress(self, digest: str, stream, *, timeline=None):
         """Route a decompress job; returns ``(shard_name, Future[ndarray])``."""
         name = self.shard_for(digest)
         if observe.enabled():
             observe.counter(f"net.shard.jobs.{name}").inc()
         return name, self._shards[name].submit_decompress(
-            stream, parent_span=parent_span, timeline=timeline
+            stream, timeline=timeline
         )
 
     def stats(self) -> dict:

@@ -1,6 +1,6 @@
 """repro.observe — zero-dependency observability substrate.
 
-Three pieces (see docs/ARCHITECTURE.md §Observability):
+Five pieces (see docs/ARCHITECTURE.md §Observability):
 
 * **spans** — hierarchical tracing (:func:`span`, :func:`trace`,
   :func:`traced`) with wall/CPU time, byte counts, and nesting;
@@ -8,16 +8,19 @@ Three pieces (see docs/ARCHITECTURE.md §Observability):
   histograms (:func:`counter`, :func:`gauge`, :func:`histogram`,
   :func:`metrics_snapshot`);
 * **sinks** — destinations for finished root spans
-  (:class:`InMemorySink`, :class:`JsonLinesSink`,
-  :class:`TreePrinterSink`, :func:`render_tree`);
+  (:class:`InMemorySink`, :class:`JsonLinesSink`) and the human tree
+  view :func:`render_tree`;
 * **export** — the metrics exporter (:func:`render_prometheus`
   Prometheus text exposition, :class:`MetricsJsonlWriter` structured
   event feed, :class:`PeriodicMetricsFlusher`);
 * **telemetry** — distributed tracing for the serving stack:
-  W3C-traceparent :class:`TraceContext` propagation, per-request
-  :class:`RequestTimeline` stage ledgers + :class:`RequestLog` ring
-  buffer, Chrome-trace export / trace stitching, and the rolling
-  multi-window burn-rate :class:`SLOEngine`.
+  W3C-traceparent :class:`TraceContext` propagation, the per-request
+  :class:`RequestTimeline` (the one record of a served request: an
+  always-on stage ledger whose ``net.request`` span is its traced view)
+  + :class:`RequestLog` ring buffer, Chrome-trace export
+  (:func:`write_chrome_trace` over :func:`trace`'s collected spans) /
+  trace stitching, and the rolling multi-window burn-rate
+  :class:`SLOEngine`.
 
 Everything is off by default: ``span()`` returns a shared no-op object
 and hot-path metric updates are guarded by :func:`enabled`, so the
@@ -42,9 +45,8 @@ from .export import (
     read_metrics_jsonl,
     render_prometheus,
 )
-from .sinks import InMemorySink, JsonLinesSink, TreePrinterSink, render_tree
+from .sinks import InMemorySink, JsonLinesSink, render_tree
 from .telemetry import (
-    ChromeTraceSink,
     RequestLog,
     RequestTimeline,
     SLOEngine,
@@ -79,7 +81,6 @@ __all__ = [
     "enabled",
     "InMemorySink",
     "JsonLinesSink",
-    "TreePrinterSink",
     "render_tree",
     "Counter",
     "Gauge",
@@ -101,7 +102,6 @@ __all__ = [
     "RequestLog",
     "SLOTarget",
     "SLOEngine",
-    "ChromeTraceSink",
     "write_chrome_trace",
     "stitch_traces",
     "find_orphans",

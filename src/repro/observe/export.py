@@ -155,8 +155,10 @@ class PeriodicMetricsFlusher:
     ``fmt="prom"`` atomically rewrites *path* with the latest
     Prometheus exposition (textfile-collector style).  A final flush
     always runs on :meth:`stop`, so short-lived processes still leave
-    a record.  Used by :class:`repro.serve.CompressionService` when
-    constructed with ``metrics_export_path``.
+    a record.  As a context manager it wraps whatever it reports on::
+
+        with PeriodicMetricsFlusher("serve.jsonl"), CompressionService() as svc:
+            ...  # the final flush runs after the service has closed
     """
 
     _FORMATS = ("jsonl", "prom")

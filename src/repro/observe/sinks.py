@@ -1,4 +1,4 @@
-"""Span sinks: in-memory collection, JSON-lines files, tree rendering.
+"""Span sinks (in-memory collection, JSON-lines files) and tree rendering.
 
 A sink is anything with an ``emit(span)`` method; finished root spans
 are pushed to every sink registered via :func:`repro.observe.enable`
@@ -105,14 +105,3 @@ def render_tree(span, *, min_wall_s: float = 0.0) -> str:
 
     walk(node, "", True, True)
     return "\n".join(lines)
-
-
-class TreePrinterSink:
-    """Prints every finished root span as a tree (human consumption)."""
-
-    def __init__(self, write=None, *, min_wall_s: float = 0.0):
-        self._write = write or (lambda text: print(text))
-        self._min_wall_s = min_wall_s
-
-    def emit(self, span) -> None:
-        self._write(render_tree(span, min_wall_s=self._min_wall_s))

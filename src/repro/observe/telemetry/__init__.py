@@ -23,7 +23,6 @@ from .context import (
     parse_traceparent,
 )
 from .chrome import (
-    ChromeTraceSink,
     find_orphans,
     flatten,
     iter_tree,
@@ -49,7 +48,6 @@ __all__ = [
     "new_span_id",
     "new_trace_id",
     "parse_traceparent",
-    "ChromeTraceSink",
     "find_orphans",
     "flatten",
     "iter_tree",

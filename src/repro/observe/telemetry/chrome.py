@@ -17,7 +17,6 @@ trace.  CI asserts that a traced ``net-bench`` run has zero of those.
 from __future__ import annotations
 
 import json
-import threading
 
 
 def iter_tree(root):
@@ -128,33 +127,3 @@ def write_chrome_trace(path, roots) -> dict:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
     return trace_summary(roots)
-
-
-class ChromeTraceSink:
-    """Span sink that accumulates roots and writes one Chrome trace.
-
-    Register with ``observe.enable(ChromeTraceSink(path))`` (or pass to
-    ``observe.trace``); call :meth:`close` — or use as a context
-    manager — to write the file.
-    """
-
-    def __init__(self, path):
-        self.path = path
-        self.spans: list = []
-        self._lock = threading.Lock()
-
-    def emit(self, span) -> None:
-        with self._lock:
-            self.spans.append(span)
-
-    def close(self) -> dict:
-        with self._lock:
-            roots = list(self.spans)
-        return write_chrome_trace(self.path, roots)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False

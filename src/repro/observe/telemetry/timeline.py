@@ -1,9 +1,9 @@
 """Per-request stage ledgers and the recent-request ring buffer.
 
-A :class:`RequestTimeline` is the always-on, low-overhead answer to
-"where did this request spend its time?".  Unlike spans it needs no
-tracing to be enabled: it is a flat dict of stage → seconds filled in
-two ways —
+A :class:`RequestTimeline` is the one record of a served request: the
+always-on, low-overhead answer to "where did this request spend its
+time?".  It needs no tracing to be enabled: it is a flat dict of
+stage → seconds filled in two ways —
 
 * :meth:`~RequestTimeline.mark` splits the *sequential* request path
   (read, admission, cache lookup, queue wait, execute, stitch, write)
@@ -13,12 +13,19 @@ two ways —
   which overlap stages already charged by ``mark`` and therefore do not
   advance the sequential clock.
 
-:meth:`~RequestTimeline.finish` seals the ledger: later marks and puts
+The traced view is derived from the ledger, not the other way round:
+the timeline opens the request's detached ``net.request`` span when it
+is created (the shared no-op span while tracing is off) and takes its
+request and trace ids from the propagated context or from that span.
+Worker-side job spans nest under :attr:`~RequestTimeline.span`.
+:meth:`~RequestTimeline.finish` seals the ledger — later marks and puts
 (say, from a worker whose job outlived its request's deadline) are
-dropped.  The ledger travels back to the client in response metadata,
-and the sealed timeline is retained server-side in a :class:`RequestLog`
-ring buffer, which is what ``GET /debug/requests`` and ``szx trace
-<request-id>`` read.
+dropped — and closes the span with the status and each stage as a
+``<stage>_ms`` field, so a Chrome trace and ``/debug/requests`` show
+the same numbers.  The ledger travels back to the client in response
+metadata, and the sealed timeline is retained server-side in a
+:class:`RequestLog` ring buffer, which is what ``GET /debug/requests``
+and ``szx trace <request-id>`` read.
 """
 
 from __future__ import annotations
@@ -28,6 +35,8 @@ import threading
 import time
 from collections import deque
 
+from ..spans import open_span
+
 
 def new_request_id() -> str:
     """A fresh 64-bit request id (16 lowercase hex chars)."""
@@ -35,28 +44,40 @@ def new_request_id() -> str:
 
 
 class RequestTimeline:
-    """Stage ledger for one request.  Thread-safe; insertion-ordered."""
+    """Stage ledger for one request.  Thread-safe; insertion-ordered.
+
+    *context* is the :class:`~repro.observe.telemetry.TraceContext` the
+    peer propagated (or None); *started_at* is the ``perf_counter``
+    reading of the request's first byte, which is also the span's start.
+    """
 
     __slots__ = (
         "request_id", "verb", "tenant", "trace_id", "status", "error",
         "bytes_in", "bytes_out", "wall_time", "started_at", "finished_at",
-        "_t_last", "_stages", "_lock",
+        "span", "_t_last", "_stages", "_lock",
     )
 
-    def __init__(self, verb: str = "", *, tenant: str = "",
-                 request_id: str | None = None, trace_id: str | None = None,
+    def __init__(self, verb: str = "", *, context=None, tenant: str = "",
+                 request_id: str | None = None,
                  started_at: float | None = None):
-        self.request_id = request_id or new_request_id()
+        self.span = sp = open_span("net.request", context=context, verb=verb)
+        # A propagated context names the request; failing that, a traced
+        # span's fresh trace does, so ``szx trace`` and the span tree agree.
+        self.trace_id = (context.trace_id if context is not None
+                         else sp.trace_id)
+        self.request_id = request_id or (
+            self.trace_id[:16] if self.trace_id else new_request_id())
         self.verb = verb
         self.tenant = tenant
-        self.trace_id = trace_id
         self.status = None
         self.error = None
         self.bytes_in = 0
         self.bytes_out = 0
         self.wall_time = time.time()
-        now = time.perf_counter()
-        self.started_at = started_at if started_at is not None else now
+        self.started_at = (started_at if started_at is not None
+                           else time.perf_counter())
+        if sp.trace_id:
+            sp.t0 = self.started_at
         self.finished_at = 0.0
         self._t_last = self.started_at
         self._stages: dict[str, float] = {}
@@ -83,26 +104,40 @@ class RequestTimeline:
                 return
             self._stages[stage] = self._stages.get(stage, 0.0) + seconds
 
-    def set(self, *, bytes_in=None, bytes_out=None, tenant=None,
-            trace_id=None) -> "RequestTimeline":
+    def set(self, *, bytes_in=None, bytes_out=None,
+            tenant=None) -> "RequestTimeline":
         if bytes_in is not None:
             self.bytes_in = int(bytes_in)
         if bytes_out is not None:
             self.bytes_out = int(bytes_out)
         if tenant is not None:
             self.tenant = tenant
-        if trace_id is not None:
-            self.trace_id = trace_id
         return self
 
-    def finish(self, status: str = "ok", *, error: str | None = None):
-        """Stamp the terminal status and seal the ledger.  Idempotent."""
+    def finish(self, status: str = "ok", *, error: str | None = None,
+               **tags):
+        """Stamp the terminal status, seal the ledger and close the span.
+
+        Idempotent.  The span records the status, byte counts, tenant,
+        every stage as ``<stage>_ms`` and the scalar *tags* (reply facts
+        such as ``cache`` and ``shard``; None values are skipped).
+        """
         with self._lock:
             if self.finished_at:
                 return self
             self.finished_at = time.perf_counter()
         self.status = status
         self.error = error
+        sp = self.span
+        if sp.trace_id:
+            fields = {f"{k}_ms": v for k, v in self.stages_ms().items()}
+            fields.update((k, v) for k, v in tags.items() if v is not None)
+            if self.tenant:
+                fields["tenant"] = self.tenant
+            sp.set(bytes_in=self.bytes_in, bytes_out=self.bytes_out,
+                   status=status, **fields)
+            sp.error = error
+            sp.finish()
         return self
 
     # -- derived --------------------------------------------------------

@@ -87,12 +87,13 @@ class _Job:
     checksum: bool = False
     # decompress fields:
     payload: bytes = b""
-    #: The submitter's innermost open span (None when untraced) — worker
-    #: spans attach here so ``serve.job.*`` nests under the request.
+    #: Where worker spans attach so ``serve.job.*`` nests under the
+    #: request: the timeline's span, else the submitter's innermost open
+    #: span (None when untraced).
     parent_span: object = None
-    #: The request's stage ledger (a
+    #: The request's record (a
     #: :class:`repro.observe.telemetry.RequestTimeline`, or None) —
-    #: workers attribute queue-wait and kernel time into it.
+    #: workers attribute queue-wait and kernel time into its ledger.
     timeline: object = None
 
 
@@ -131,12 +132,10 @@ class CompressionService:
     max_retries, retry_backoff_s:
         Transient-fault retry budget and base backoff (exponential,
         jittered to half–1.5× to avoid retry stampedes).
-    metrics_export_path, metrics_flush_interval_s, metrics_export_fmt:
-        When a path is given, a
-        :class:`repro.observe.PeriodicMetricsFlusher` snapshots the
-        metrics registry there on the interval (``"jsonl"`` event feed
-        or ``"prom"`` Prometheus textfile) for the service's lifetime;
-        a final flush runs on :meth:`close`.
+
+    To export metrics for the service's lifetime, nest it in a
+    :class:`repro.observe.PeriodicMetricsFlusher`, whose exit runs a
+    final flush after the service has closed.
     """
 
     def __init__(
@@ -152,9 +151,6 @@ class CompressionService:
         max_retries: int = 2,
         retry_backoff_s: float = 0.005,
         default_config: CodecConfig | None = None,
-        metrics_export_path=None,
-        metrics_flush_interval_s: float = 5.0,
-        metrics_export_fmt: str = "jsonl",
     ):
         if overflow not in _OVERFLOW_POLICIES:
             raise ValueError(
@@ -201,13 +197,6 @@ class CompressionService:
         self._procpool = (
             ProcPool(self.workers).start() if self.backend == "process" else None
         )
-        self._flusher = None
-        if metrics_export_path is not None:
-            self._flusher = observe.PeriodicMetricsFlusher(
-                metrics_export_path,
-                interval_s=metrics_flush_interval_s,
-                fmt=metrics_export_fmt,
-            ).start()
         self._dispatcher = threading.Thread(
             target=self._dispatch, name="serve-dispatcher", daemon=True
         )
@@ -253,7 +242,6 @@ class CompressionService:
         *,
         timeout_s: float | None = None,
         block: bool | None = None,
-        parent_span=None,
         timeline=None,
     ) -> Future:
         """Enqueue a compression job; returns a ``Future[bytes]``.
@@ -262,12 +250,12 @@ class CompressionService:
         here, so the eventual stream is byte-identical to
         ``SZxCodec(config).compress(data)`` regardless of how jobs are
         batched or scheduled.  Invalid input/config raise immediately.
-        *parent_span* overrides the submitting thread's current span as
-        the parent for worker-side job spans — asyncio callers (the
-        network front door) pass their detached request span, which the
-        thread-local stack cannot carry across awaits.  *timeline* is
-        the request's stage ledger: the worker adds ``serve_wait`` and
-        ``kernel`` attributions to it.
+        *timeline* is the request's record: the worker adds
+        ``serve_wait`` and ``kernel`` attributions to its ledger, and the
+        job span nests under its span — asyncio callers (the network
+        front door) cannot carry a parent across awaits on the
+        thread-local span stack.  Without one, the job span nests under
+        the submitting thread's current span.
         """
         config = config or self.default_config
         if config is None or config.err_bound is None:
@@ -288,7 +276,7 @@ class CompressionService:
             abs_bound=resolution.abs_bound,
             block_size=block_size,
             checksum=config.checksum,
-            parent_span=self._parent_span(parent_span),
+            parent_span=self._parent_span(timeline),
             timeline=timeline,
         )
         return self._admit(job, block)
@@ -299,7 +287,6 @@ class CompressionService:
         *,
         timeout_s: float | None = None,
         block: bool | None = None,
-        parent_span=None,
         timeline=None,
     ) -> Future:
         """Enqueue a decompression job; returns a ``Future[ndarray]``.
@@ -314,15 +301,15 @@ class CompressionService:
             submitted_at=now,
             deadline=now + timeout_s if timeout_s is not None else None,
             payload=bytes(stream),
-            parent_span=self._parent_span(parent_span),
+            parent_span=self._parent_span(timeline),
             timeline=timeline,
         )
         return self._admit(job, block)
 
     @staticmethod
-    def _parent_span(explicit):
-        if explicit is not None:
-            return explicit
+    def _parent_span(timeline):
+        if timeline is not None:
+            return timeline.span
         return observe.current_span() if observe.enabled() else None
 
     def compress(self, data, config: CodecConfig | None = None, **kw) -> bytes:
@@ -548,8 +535,8 @@ class CompressionService:
         return cur is self._dispatcher or cur.name.startswith(self._worker_prefix)
 
     def _teardown(self, timeout: float | None) -> None:
-        """Join the dispatcher and pools, then flush metrics — the
-        blocking half of :meth:`close`, run at most once."""
+        """Join the dispatcher and pools — the blocking half of
+        :meth:`close`, run at most once."""
         try:
             self._dispatcher.join(timeout)
             self._pool.shutdown(wait=True)
@@ -557,8 +544,6 @@ class CompressionService:
                 # After the thread pool joined, no job can still touch
                 # the process pool — safe to reap the forked workers.
                 self._procpool.close()
-            if self._flusher is not None:
-                self._flusher.stop()
         finally:
             self._close_done.set()
 

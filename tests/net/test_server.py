@@ -266,9 +266,15 @@ class TestDrain:
             a = await NetClient.connect(server.host, server.port)
             b = await NetClient.connect(server.host, server.port)
             slow = asyncio.create_task(a.compress(big, err_bound=1e-3))
-            await asyncio.sleep(0.05)            # request in flight
+            # Drain as soon as the request is in flight (its first byte
+            # arrived), so the refused request below reaches the server
+            # while the big compress still runs; fixed sleeps raced the
+            # kernel on a warm process.
+            while not server._inflight:
+                await asyncio.sleep(0.001)
             drain = asyncio.create_task(server.drain())
-            await asyncio.sleep(0.02)
+            while not server.draining:
+                await asyncio.sleep(0.001)
             with pytest.raises(ServerDrainingError) as exc:
                 await b.compress(small, err_bound=1e-3)
             assert exc.value.retryable

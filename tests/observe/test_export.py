@@ -164,7 +164,7 @@ class TestPeriodicMetricsFlusher:
 
 
 class TestServeFlusherWiring:
-    def test_service_flushes_metrics_export_path(self, tmp_path):
+    def test_flusher_wraps_service(self, tmp_path):
         import numpy as np
 
         from repro.codec import CodecConfig
@@ -173,14 +173,12 @@ class TestServeFlusherWiring:
         observe.enable()
         try:
             path = tmp_path / "serve-metrics.jsonl"
-            with CompressionService(
-                workers=2, metrics_export_path=path,
-                metrics_flush_interval_s=60.0,
-            ) as svc:
+            with PeriodicMetricsFlusher(path, interval_s=60.0), \
+                    CompressionService(workers=2) as svc:
                 data = np.linspace(0, 1, 4096, dtype=np.float32)
                 svc.compress(data, CodecConfig(err_bound=1e-3))
         finally:
             observe.disable()
         events = read_metrics_jsonl(path)
-        assert events, "close() must run a final flush"
+        assert events, "the flusher's exit must run a final flush"
         assert events[-1]["counters"].get("serve.jobs.served", 0) >= 1

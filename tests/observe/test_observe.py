@@ -15,7 +15,7 @@ from repro.observe import (
     MetricsRegistry,
     render_tree,
 )
-from repro.observe.sinks import InMemorySink, JsonLinesSink, TreePrinterSink
+from repro.observe.sinks import InMemorySink, JsonLinesSink
 
 
 @pytest.fixture(autouse=True)
@@ -315,15 +315,6 @@ class TestSinks:
                     pass
         text = render_tree(sink.spans[0], min_wall_s=3600.0)
         assert "fast" not in text
-
-    def test_tree_printer_sink(self):
-        out = []
-        sink = TreePrinterSink(write=out.append)
-        observe.enable(sink)
-        with observe.span("printed"):
-            pass
-        observe.disable()
-        assert len(out) == 1 and "printed" in out[0]
 
 
 class TestHistogramQuantiles:

@@ -14,7 +14,6 @@ from repro.observe.metrics import (
 )
 from repro.observe.telemetry import (
     BurnRatePolicy,
-    ChromeTraceSink,
     RequestLog,
     RequestTimeline,
     SLOEngine,
@@ -127,7 +126,7 @@ class TestRequestTimeline:
 
     def test_to_dict_shape(self):
         tl = RequestTimeline(
-            "compress", tenant="acme", trace_id="ab" * 16
+            "compress", tenant="acme", context=TraceContext("ab" * 16, "cd" * 8)
         )
         tl.set(bytes_in=100, bytes_out=42)
         tl.mark("read")
@@ -141,6 +140,28 @@ class TestRequestTimeline:
         assert d["bytes_in"] == 100 and d["bytes_out"] == 42
         assert "read" in d["stages_ms"]
         assert len(d["request_id"]) == 16
+
+    def test_span_starts_at_the_first_byte(self):
+        ctx = TraceContext("ab" * 16, "cd" * 8)
+        with observe.trace() as sink:
+            tl = RequestTimeline("compress", context=ctx, started_at=12.5)
+            tl.mark("read")
+            tl.finish("ok", cache="hit", shard=None)
+        (sp,) = sink.spans
+        assert sp is tl.span
+        assert sp.t0 == 12.5
+        assert sp.trace_id == tl.trace_id == ctx.trace_id
+        assert sp.parent_span_id == ctx.parent_span_id
+        assert tl.request_id == ctx.request_id
+        assert sp.extra["cache"] == "hit" and "shard" not in sp.extra
+        assert sp.extra["read_ms"] == tl.stages_ms()["read"]
+
+    def test_untraced_timeline_keeps_the_propagated_ids(self):
+        ctx = TraceContext("ab" * 16, "cd" * 8)
+        tl = RequestTimeline("compress", context=ctx).finish("ok")
+        assert tl.trace_id == ctx.trace_id
+        assert tl.request_id == ctx.request_id
+        assert tl.span.trace_id is None      # the shared no-op span
 
 
 class TestRequestLog:
@@ -377,19 +398,6 @@ class TestChromeExport:
         assert summary["orphans"] == 0
         doc = json.loads(path.read_text())
         assert doc["traceEvents"]
-
-    def test_chrome_trace_sink(self, tmp_path):
-        path = tmp_path / "sink.json"
-        sink = ChromeTraceSink(path)
-        observe.enable(sink)
-        try:
-            with observe.span("root"):
-                pass
-        finally:
-            observe.disable()
-        summary = sink.close()
-        assert summary["spans"] == 1
-        assert json.loads(path.read_text())["traceEvents"]
 
 
 class TestCardinalityGuard:
