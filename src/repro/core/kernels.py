@@ -29,9 +29,9 @@ the process pool (:mod:`repro.parallel.procpool`), the micro-batcher, and
   happens through ``out=`` calls into arena views.  Encode writes each
   batch's payloads into the next slice of one buffer sized by the
   format's worst case (:func:`~repro.core.stream.payload_bound`); decode
-  gives each batch its own payload slice.  Positions are batch-relative,
-  so they always fit int32.  Arenas are *not* thread-safe; each pool
-  worker gets its own via the thread-local :func:`default_arena`.
+  gives each batch its own payload slice with batch-relative bounds.
+  Arenas are *not* thread-safe; each pool worker gets its own via the
+  thread-local :func:`default_arena`.
 
 * **A stage chain.**  The encode and decode paths are sequences of named
   :class:`KernelStage` objects run by a :class:`KernelChain`; each stage
@@ -40,11 +40,17 @@ the process pool (:mod:`repro.parallel.procpool`), the micro-batcher, and
   ``decode_blocks``, ``decode_tail``), which is what
   ``bench.stage_breakdown`` surfaces.
 
-The decompressor resolves the leading-byte *dependence chains* of
-Section 6.2.2 with ``np.maximum.accumulate``: byte *j* of value *i* comes
-from the most recent value ``i' <= i`` whose byte *j* was committed as a
-mid-byte (``L_{i'} <= j``) — the sequential-scan equivalent of the
-paper's GPU recursive-doubling index propagation (Figure 11).
+The decompressor is the encoder run backwards.  It builds the same keep
+mask, scatters each batch's payload into the same per-block records
+through it (the inverse of ``np.compress``), and byte-swaps the word
+columns into native words whose lead bytes are still zero.  It then
+resolves the leading-byte *dependence chains* of Section 6.2.2 with the
+paper's recursive doubling (Figure 11), applied to values instead of
+indices.
+Value *i* is ``P[i] | (value[i-1] & M[i])``, where ``M[i]`` masks its
+lead bytes.  Each round at ``s = 1, 2, 4, ...`` composes every value's
+map with the one ``s`` values back, so ``ceil(log2(block_size))`` rounds
+over the flat batch settle every chain.
 
 Both directions are tested byte-identical to :mod:`repro.core.scalar`.
 """
@@ -92,9 +98,12 @@ __all__ = [
 #: Input bytes per encode/decode batch.  The chain hands the batch kernels
 #: ``max(1, BATCH_BYTES // (block_size * itemsize))`` blocks at a time, so
 #: every arena view stays cache-sized whatever the input size.  On a 64 MiB
-#: field, 256 KiB to 1 MiB batches compress ~1.4-1.6x and decompress
-#: ~1.2-1.3x faster than one input-sized batch; 16 MiB batches gain only
-#: ~1.0-1.1x (``results/ablation_kernel_batch.txt``).
+#: field, 256 KiB to 1 MiB batches compress ~1.1-1.8x and decompress
+#: ~1.35-2.2x faster than one input-sized batch over four sweeps
+#: (``results/ablation_kernel_batch.txt`` holds the last).  With the scan
+#: decoder, the sweep's decode column peaked at 128-512 KiB instead of
+#: 1 MiB in all four, but an interleaved chain-level run read decompress
+#: flat (108-116 MB/s) from 256 KiB to 2 MiB, so the size stays.
 BATCH_BYTES = 1 << 20
 
 
@@ -183,18 +192,41 @@ def _pack_lead_rows(codes: np.ndarray, k: int) -> np.ndarray:
     return np.packbits(bits.reshape(m, bs * k), axis=1, bitorder="little")
 
 
-def _unpack_lead_rows(packed: np.ndarray, k: int, bs: int) -> np.ndarray:
-    """Inverse of :func:`_pack_lead_rows` for an (m, L) packed matrix."""
-    if k == 2 and bs % 4 == 0 and packed.shape[1] == bs // 4:
-        out = np.empty((packed.shape[0], bs // 4, 4), dtype=np.uint16)
-        out[:, :, 0] = packed & 3
-        out[:, :, 1] = (packed >> 2) & 3
-        out[:, :, 2] = (packed >> 4) & 3
-        out[:, :, 3] = packed >> 6
-        return out.reshape(packed.shape[0], bs)
-    bits = np.unpackbits(packed, axis=1, bitorder="little")[:, : bs * k]
-    bits = bits.reshape(packed.shape[0], bs, k).astype(np.uint16)
-    return (bits << np.arange(k, dtype=np.uint16)).sum(axis=2, dtype=np.uint16)
+def _unpack_lead_rows(
+    packed: np.ndarray, k: int, bs: int, *, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Inverse of :func:`_pack_lead_rows` for an (m, L) packed matrix.
+
+    Codes come in groups of ``8 / gcd(k, 8)`` that fill whole bytes (four
+    2-bit codes per byte, eight 3-bit codes per three bytes): each group
+    is read as one little-endian integer and its codes are shifted out
+    column by column.  Writes into *out* (any ``(m, bs)`` integer array)
+    when given, else returns a fresh uint16 matrix.
+    """
+    m = packed.shape[0]
+    per = 8 // math.gcd(k, 8)
+    group_bytes = per * k // 8
+    groups = -(-bs // per)
+    if packed.shape[1] < groups * group_bytes:  # ragged last group
+        padded = np.zeros((m, groups * group_bytes), dtype=np.uint8)
+        padded[:, : packed.shape[1]] = packed
+        packed = padded
+    grouped = packed[:, : groups * group_bytes].reshape(m, groups, group_bytes)
+    wtype = np.uint32 if group_bytes <= 4 else np.uint64
+    word = grouped[:, :, 0].astype(wtype)
+    for b in range(1, group_bytes):
+        word |= grouped[:, :, b].astype(wtype) << (8 * b)
+    if out is None:
+        out = np.empty((m, bs), dtype=np.uint16)
+    full = bs // per
+    codes = out[:, : full * per].reshape(m, full, per)
+    mask = (1 << k) - 1
+    for t in range(per):
+        np.bitwise_and(word[:, :full] >> (k * t), mask, out=codes[:, :, t],
+                       casting="unsafe")
+    for t in range(bs - full * per):
+        out[:, full * per + t] = (word[:, full] >> (k * t)) & mask
+    return out
 
 
 def _leading_counts_matrix(
@@ -214,6 +246,42 @@ def _leading_counts_matrix(
         np.less(x, 1 << ((n - kept) * 8), out=flags)
         count += flags
     return count
+
+
+# ---------------------------------------------------------------------------
+# Block records: the layout both batch kernels share
+# ---------------------------------------------------------------------------
+
+
+def _keep_mask(
+    keep: np.ndarray,
+    lead: np.ndarray,
+    nbytes: np.ndarray,
+    head: int,
+    traits: DtypeTraits,
+    scratch: np.ndarray,
+) -> np.ndarray:
+    """Mark which bytes of each block record its payload holds.
+
+    A batch's records are the rows of an ``(m, head + bs*itemsize)``
+    uint8 matrix: the ``head`` header bytes, then every value's
+    big-endian word.  The payload keeps the header and word byte ``j`` of
+    a value iff ``lead <= j < nbytes`` (Formula (5)), so ``np.compress``
+    through *keep* emits a batch and a masked assignment through it is
+    the inverse.  The word columns are filled one word per value: 0x01
+    in each kept byte, written through a big-endian view.  *scratch* is
+    an ``(m, bs)`` word-typed matrix; it is returned holding each
+    value's non-lead mask ``~0 >> 8*lead``.
+    """
+    keep[:, :head] = True
+    np.left_shift(lead, 3, out=scratch)
+    np.right_shift(np.iinfo(traits.utype).max, scratch, out=scratch)
+    ones = traits.utype.type(int.from_bytes(b"\x01" * traits.itemsize, "little"))
+    kept = truncation_mask(nbytes, traits) & ones
+    np.bitwise_and(
+        scratch, kept[:, None], out=keep[:, head:].view(traits.utype.newbyteorder(">"))
+    )
+    return scratch
 
 
 # ---------------------------------------------------------------------------
@@ -259,18 +327,18 @@ def encode_batch(
     nb8 = nbytes.astype(np.uint8)
 
     # -- fused transform: normalize, byte-align, truncate, XOR, lead ----
-    norm = arena.take("enc.norm", (m, bs), traits.dtype)
+    norm = arena.take("words", (m, bs), traits.dtype)
     np.subtract(body, mu[:, None], out=norm)
     shifted = norm.view(traits.utype)
     np.right_shift(shifted, shift[:, None], out=shifted)
     np.bitwise_and(shifted, masks[:, None], out=shifted)
 
-    xor = arena.take("enc.xor", (m, bs), traits.utype)
+    xor = arena.take("xor", (m, bs), traits.utype)
     np.bitwise_xor(shifted[:, 1:], shifted[:, :-1], out=xor[:, 1:])
     xor[:, 0] = shifted[:, 0]  # first value XORs with 0
 
     lead = _leading_counts_matrix(
-        xor, traits, out=arena.take("enc.lead", (m, bs), np.uint8)
+        xor, traits, out=arena.take("lead", (m, bs), np.uint8)
     )
     np.minimum(lead, np.uint8(traits.max_lead), out=lead)
     np.minimum(lead, nb8[:, None], out=lead)
@@ -281,10 +349,9 @@ def encode_batch(
 
     # -- one compaction: per-block records through a keep mask ----------
     # Each block's record is [req | mu | packed lead codes | big-endian
-    # words].  Keeping word byte j of a value iff lead <= j < nbytes makes
-    # the record's kept bytes exactly its payload (Formula (5)), so one
+    # words]; the record's kept bytes are exactly its payload, so one
     # row-major np.compress emits the whole batch back to back.
-    rec = arena.take("enc.rec", (m, head + bs * n), np.uint8)
+    rec = arena.take("rec", (m, head + bs * n), np.uint8)
     rec[:, 0] = req
     mu_bytes = np.ascontiguousarray(mu, dtype=traits.dtype).view(np.uint8)
     rec[:, 1:prefix] = mu_bytes.reshape(m, n)
@@ -292,14 +359,8 @@ def encode_batch(
     # The copy through a big-endian view is the byte swap.
     rec[:, head:].view(traits.utype.newbyteorder(">"))[...] = shifted
 
-    keep = arena.take("enc.keep", rec.shape, np.bool_)
-    keep[:, :head] = True
-    word_keep = keep[:, head:].reshape(m, bs, n)
-    for j in range(n):
-        np.less_equal(lead, j, out=word_keep[:, :, j])
-        short = nbytes <= j
-        if short.any():
-            word_keep[short, :, j] = False
+    keep = arena.take("keep", rec.shape, np.bool_)
+    _keep_mask(keep, lead, nbytes, head, traits, scratch=xor)
 
     zsizes = head + bs * nbytes - lead.sum(axis=1, dtype=np.int64)
     np.compress(keep.reshape(-1), rec.reshape(-1), out=out[: int(zsizes.sum())])
@@ -317,94 +378,112 @@ def decode_batch(
     bs: int,
     traits: DtypeTraits,
     *,
-    ends: np.ndarray | None = None,
+    ends: np.ndarray,
     arena: KernelArena | None = None,
-):
+    out: np.ndarray | None = None,
+) -> np.ndarray:
     """Decode a batch of full-size non-constant blocks to an (m, bs) array.
 
-    *starts*/*ends* are each block's payload boundaries in *payload_u8*,
-    whose positions are gathered as int32 (the chain passes one batch's
-    slice, so they always fit).  Every invariant the gather below relies
-    on is validated first, so corrupt payloads raise
+    The inverse of :func:`encode_batch`.  Block *i*'s payload is
+    ``payload_u8[starts[i]:ends[i]]`` and the payloads lie back to back
+    (``starts[1:] == ends[:-1]``; the chain passes one batch's slice with
+    batch-relative bounds).  Every invariant the scatter relies on is
+    validated first, so corrupt payloads raise
     :class:`~repro.core.errors.PayloadFormatError` rather than reading
-    out of bounds.  *ends* may be omitted by trusted callers
-    that already know the payload is self-consistent.
+    out of bounds.  All ``(m, bs)`` work happens in *arena*, in the
+    buffers :func:`encode_batch` uses (same keys, shapes and dtypes), so
+    a thread that does both holds one set.  The values land in *out*
+    (an ``(m, bs)`` array of the dtype) when given, else in a fresh array.
     """
     m = starts.size
-    itemsize = traits.itemsize
     if m == 0:
         return np.empty((0, bs), dtype=traits.dtype)
     if arena is None:
         arena = default_arena()
+    if (starts[1:] != ends[:-1]).any():
+        raise ValueError("decode_batch needs back-to-back block payloads")
+    ut = traits.utype
+    prefix = payload_prefix_size(traits)
+    head = prefix + lead_section_size(bs, traits)
+    if starts[0] < 0 or ends[-1] > payload_u8.size:
+        raise PayloadFormatError(
+            "payload slice shorter than its block accounting", section="payload"
+        )
+    if (ends - starts < head).any():
+        raise PayloadFormatError(
+            "block payload shorter than its fixed sections", section="payload"
+        )
 
-    req = payload_u8[starts].astype(np.int64)
+    # -- headers: req, mu and lead codes of every block -----------------
+    hdr = np.lib.stride_tricks.sliding_window_view(payload_u8, head)[starts]
+    req = hdr[:, 0].astype(np.int64)
     if (req < traits.se_bits).any() or (req > traits.fullbits).any():
         raise PayloadFormatError(
             "required length byte out of range", section="payload"
         )
-    shift = shift_for(req)
-    nbytes = required_bytes(req).astype(np.int8)
-
-    idx = starts[:, None] + 1 + np.arange(itemsize, dtype=np.int64)
-    mu = np.ascontiguousarray(payload_u8[idx]).view(traits.dtype).reshape(m)
-
-    prefix = payload_prefix_size(traits)
-    lead_bytes = lead_section_size(bs, traits)
-    idx = starts[:, None] + prefix + np.arange(lead_bytes, dtype=np.int64)
+    nbytes = required_bytes(req)
+    mu = np.ascontiguousarray(hdr[:, 1:prefix]).view(traits.dtype).reshape(m)
     lead = _unpack_lead_rows(
-        np.ascontiguousarray(payload_u8[idx]), traits.lead_code_bits, bs
-    ).astype(np.int8)
-    if (lead > nbytes[:, None]).any():
+        hdr[:, prefix:], traits.lead_code_bits, bs,
+        out=arena.take("lead", (m, bs), np.uint8),
+    )
+    if (lead.max(axis=1) > nbytes).any():
         raise PayloadFormatError(
             "leading count exceeds the required byte count", section="payload"
         )
-
-    counts = nbytes[:, None] - lead
-    if ends is not None:
-        expected_mids = counts.sum(axis=1, dtype=np.int64)
-        actual_mids = ends - starts - prefix - lead_bytes
-        if (expected_mids != actual_mids).any():
-            raise PayloadFormatError(
-                "mid-byte count disagrees with the leading-code accounting",
-                section="payload",
-            )
-    mid_starts = (starts + prefix + lead_bytes).astype(np.int32)
-    # Payload position of every value's first mid-byte, minus its lead
-    # count: byte j of a provider value lives at mid_pos + (j - lead), so
-    # precomputing (mid_pos - lead) leaves one gather per byte position.
-    mid_minus_lead = (
-        mid_starts[:, None] + np.cumsum(counts, axis=1, dtype=np.int32) - counts - lead
-    )
-
-    value_index = np.arange(bs, dtype=np.int32)[None, :]
-    # Little-endian byte cube: big-endian position j -> axis index n-1-j.
-    cube = arena.take("dec.cube", (m, bs, itemsize), np.uint8)
-    cube[...] = 0
-    for j in range(itemsize):
-        present = nbytes > j  # rows whose words have a byte at position j
-        if not present.any():
-            continue
-        # An all-true mask degrades to a slice: boolean row indexing would
-        # copy every operand matrix for nothing (bytes 0..1 always exist).
-        rows = slice(None) if present.all() else present
-        # Index propagation: provider of byte j for each value is the most
-        # recent value whose lead count does not cover byte j (the
-        # dependence-chain recurrence of Section 6.2.2, Figure 11).
-        provider = np.maximum.accumulate(
-            np.where(lead[rows] <= j, value_index, -1), axis=1
+    if (head + bs * nbytes - lead.sum(axis=1, dtype=np.int64) != ends - starts).any():
+        raise PayloadFormatError(
+            "mid-byte count disagrees with the leading-code accounting",
+            section="payload",
         )
-        valid = provider >= 0
-        prov = np.where(valid, provider, 0)
-        src = np.take_along_axis(mid_minus_lead[rows], prov, axis=1) + j
-        cube[rows, :, itemsize - 1 - j] = payload_u8[src] * valid
 
-    words = cube.reshape(m, bs * itemsize).view(traits.utype).reshape(m, bs)
-    words <<= shift.astype(traits.utype)[:, None]
+    # -- one scatter: the inverse of the encoder's compaction -----------
+    rec = arena.take("rec", (m, head + bs * traits.itemsize), np.uint8)
+    keep = arena.take("keep", rec.shape, np.bool_)
+    lead_mask = _keep_mask(
+        keep, lead, nbytes, head, traits, scratch=arena.take("xor", (m, bs), ut)
+    )
+    rec.fill(0)
+    # The accounting above makes keep's count equal the slice's length.
+    # Indexing through the kept positions costs ~3 ms per 1 MiB batch
+    # against ~6 ms for a boolean-mask assignment, which copies run by
+    # run.  The index is int64, 8 bytes per payload byte, so the scatter
+    # walks 128 KiB row groups of the records to keep it within 1 MiB.
+    step = max(1, (128 << 10) // rec.shape[1])
+    for lo in range(0, m, step):
+        hi = min(lo + step, m)
+        rec[lo:hi].reshape(-1)[np.flatnonzero(keep[lo:hi])] = (
+            payload_u8[starts[lo] : ends[hi - 1]]
+        )
+    words = arena.take("words", (m, bs), traits.dtype).view(ut)
+    words[...] = rec[:, head:].view(ut.newbyteorder(">"))
+
+    # -- dependence chains: word-level recursive doubling (Figure 11) ---
+    # Value i is P[i] | (value[i-1] & M[i]), with M[i] its lead bytes and
+    # P[i] its mid-bytes (lead bytes still zero).  Round s composes each
+    # value's map with the one s values back, so after the rounds at
+    # s = 1, 2, 4, ... P holds every value.  M is zero at each block's
+    # first value (its lead bytes are zero), so chains stop there and
+    # the flat scan never mixes blocks.
+    np.invert(lead_mask, out=lead_mask)
+    lead_mask[:, 0] = 0
+    p, mk = words.reshape(-1), lead_mask.reshape(-1)
+    tmp = arena.take("body", (m, bs), traits.dtype).view(ut).reshape(-1)
+    s = 1
+    while s < bs and mk.any():
+        np.bitwise_and(p[:-s], mk[s:], out=tmp[s:])
+        np.bitwise_or(p[s:], tmp[s:], out=p[s:])
+        np.bitwise_and(mk[s:], mk[:-s], out=tmp[s:])
+        tmp[:s] = 0  # finished values: keep stale words out of mk.any()
+        mk, tmp = tmp, mk
+        s <<= 1
+
+    words <<= shift_for(req).astype(ut)[:, None]
     # A valid stream decodes finite words and μ, so the add sees no NaN.
     # A corrupted payload without a checksum can carry NaN/inf bit
     # patterns; decoding them to NaN is the documented outcome there.
     with np.errstate(invalid="ignore"):
-        return words.view(traits.dtype) + mu[:, None]
+        return np.add(words.view(traits.dtype), mu[:, None], out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +561,7 @@ def _stage_encode_blocks(ctx: dict) -> None:
     with observe.span("encode_blocks", bytes_in=ids.size * bs * traits.itemsize) as sp:
         for lo in range(0, ids.size, step):
             batch = ids[lo : lo + step]
-            body = arena.take("enc.body", (batch.size, bs), traits.dtype)
+            body = arena.take("body", (batch.size, bs), traits.dtype)
             rows.take(batch, axis=0, out=body, mode="clip")
             z = encode_batch(
                 body, ctx["mu"][batch], ctx["radius"][batch], ctx["abs_bound"],
@@ -566,10 +645,16 @@ def _stage_decode_blocks(ctx: dict) -> None:
             hi = min(lo + step, n_full_nc)
             # Batch-relative boundaries: the ends check runs on every batch.
             bounds = offsets[lo : hi + 1] - offsets[lo]
-            rows[ctx["nonconst_ids"][lo:hi]] = decode_batch(
+            ids = ctx["nonconst_ids"][lo:hi]
+            # Adjacent blocks decode straight into the output.
+            run = ids[-1] - ids[0] == hi - lo - 1
+            values = decode_batch(
                 ctx["payload_u8"][offsets[lo] : offsets[hi]], bounds[:-1], bs,
                 traits, ends=bounds[1:], arena=ctx["arena"],
+                out=rows[ids[0] : ids[-1] + 1] if run else None,
             )
+            if not run:
+                rows[ids] = values
         sp.set(bytes_out=n_full_nc * bs * traits.itemsize)
 
 

@@ -105,6 +105,15 @@ class HuffmanCodec:
         )
         if magic != _MAGIC:
             raise ValueError("bad huffman magic")
+        # Check the symbol count before it sizes any allocation: the chunk
+        # table must cover exactly n symbols, and every code takes >= 1 bit.
+        if chunk == 0 or n_chunks != -(-n // chunk):
+            raise ValueError("corrupt huffman header: symbol count disagrees "
+                             "with the chunk table")
+        payload_bytes = len(buf) - _HEADER.size - alphabet - 8 * n_chunks
+        if n > 8 * max(payload_bytes, 0):
+            raise ValueError("corrupt huffman header: more symbols than "
+                             "payload bits")
         off = _HEADER.size
         lengths = np.frombuffer(buf, dtype=np.uint8, count=alphabet, offset=off)
         off += alphabet

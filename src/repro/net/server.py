@@ -641,29 +641,27 @@ class NetServer:
                 asyncio.TimeoutError) as exc:
             if observe.enabled():
                 observe.counter("net.errors.protocol").inc()
-            await self._http_reply(
-                writer, 400, {"error": f"bad HTTP preamble: {exc}"}
-            )
+            await self._http_error(writer, 400, f"bad HTTP preamble: {exc}")
             return
         try:
             method, path, headers = self._parse_http_head(head)
         except ProtocolError as exc:
             if observe.enabled():
                 observe.counter("net.errors.protocol").inc()
-            await self._http_reply(writer, 400, {"error": str(exc)})
+            await self._http_error(writer, 400, str(exc))
             return
         raw_length = headers.get("content-length") or "0"
         if not (raw_length.isascii() and raw_length.isdigit()):
             if observe.enabled():
                 observe.counter("net.errors.protocol").inc()
-            await self._http_reply(writer, 400, self._error(
-                "bad_request", f"bad Content-Length {raw_length!r}"
-            )[1])
+            await self._http_error(
+                writer, 400, f"bad Content-Length {raw_length!r}"
+            )
             return
         length = int(raw_length)
         if length > self.max_frame:
-            await self._http_reply(
-                writer, 413, {"error": f"body of {length} bytes over cap"}
+            await self._http_error(
+                writer, 413, f"body of {length} bytes over cap"
             )
             return
         body = await reader.readexactly(length) if length else b""
@@ -689,8 +687,8 @@ class NetServer:
             await self._http_debug_requests(writer, parts.query)
             return
         if route not in (("POST", "/compress"), ("POST", "/decompress")):
-            await self._http_reply(
-                writer, 404, {"error": f"no route {method} {parts.path}"}
+            await self._http_error(
+                writer, 404, f"no route {method} {parts.path}"
             )
             return
 
@@ -734,6 +732,12 @@ class NetServer:
                                extra_headers=extra)
         timeline.mark("write")
 
+    async def _http_error(self, writer, status: int, message: str) -> None:
+        """Reply to a request the adapter itself rejects: a typed
+        ``bad_request`` document, like every other error reply."""
+        await self._http_reply(writer, status,
+                               self._error("bad_request", message)[1])
+
     async def _http_debug_requests(self, writer, query: str) -> None:
         """Serve the recent-request ring buffer with optional filters."""
         q = {k: v[-1] for k, v in parse_qs(query).items()}
@@ -742,8 +746,8 @@ class NetServer:
             if limit < 1:
                 raise ValueError(limit)
         except ValueError:
-            await self._http_reply(
-                writer, 400, {"error": f"bad limit {q.get('limit')!r}"}
+            await self._http_error(
+                writer, 400, f"bad limit {q.get('limit')!r}"
             )
             return
         entries = self.request_log.snapshot(

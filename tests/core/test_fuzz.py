@@ -10,7 +10,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.baselines import sz_compress, sz_decompress, zfp_compress, zfp_decompress
 from repro.core import compress, decompress
@@ -64,6 +64,8 @@ class TestBitFlips:
 
     @settings(max_examples=30, deadline=None)
     @given(pos_frac=st.floats(0, 1), bit=st.integers(0, 7))
+    # Flips bit 48 of the symbol count, which once sized a 1 PiB allocation.
+    @example(pos_frac=0.00390625, bit=0)
     def test_huffman_flip(self, pos_frac, bit):
         syms = (np.abs(DATA[:2000]) * 10).astype(np.uint16)
         stream = bytearray(huffman_encode(syms))

@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.codec import CodecConfig, SZxCodec
 from repro.core import kernels
@@ -26,11 +27,13 @@ from repro.core.kernels import (
     compress_blocks,
     decompress_blocks,
     _unpack_lead_rows,
+    decode_batch,
     default_arena,
     encode_batch,
 )
 from repro.core.reqbits import required_bytes
 from repro.core.scalar import (
+    _decode_nonconstant_block,
     _encode_nonconstant_block,
     compress_scalar,
     decompress_scalar,
@@ -471,3 +474,174 @@ class TestPayloadEmission:
         assert fused == compress_scalar(data, E, bs).to_bytes()
         recon = decompress_blocks(parse_stream(fused))
         assert np.abs(recon.astype(np.float64) - data).max() <= E
+
+
+# -- batch decoding -----------------------------------------------------------
+
+
+def _chain_block(rng, req, bs, traits):
+    """(values, mu, radius) of a block whose successive words all share
+    their leading bytes, so every value after the first copies lead
+    bytes from its predecessor and one chain spans the block."""
+    radius = _radius_for(req, traits)
+    step = math.ldexp(1.0, -(traits.mant_bits - 6))
+    sign = rng.choice((-1.0, 1.0))
+    values = sign * radius / 2 * (1 + step * np.arange(bs))
+    return values, 0.0, radius
+
+
+def _scan_batch(traits, bs, kinds, seed):
+    """One block per entry of *kinds*: ``chain``, ``walk`` (mixed leads
+    at a random nbytes), ``lossless`` (req = fullbits) or ``min``."""
+    rng = np.random.default_rng(seed)
+    reqs = _reqs(traits)
+    rows, mus, radii = [], [], []
+    for kind in kinds:
+        req = {"lossless": traits.fullbits, "min": traits.se_bits}.get(
+            kind, reqs[int(rng.integers(len(reqs)))]
+        )
+        if kind == "chain":
+            values, mu, radius = _chain_block(rng, req, bs, traits)
+        else:
+            mu, radius = rng.normal(), _radius_for(req, traits)
+            values = mu + _walk(rng, radius, bs, traits)
+        rows.append(values)
+        mus.append(mu)
+        radii.append(radius)
+    return (
+        np.array(rows).astype(traits.dtype),
+        np.array(mus).astype(traits.dtype),
+        np.array(radii),
+    )
+
+
+def _encoded(traits, body, mu, radius):
+    """(payload, bounds) of one encode_batch call: block i is
+    ``payload[bounds[i]:bounds[i + 1]]``."""
+    m, bs = body.shape
+    out = np.empty(payload_bound(m * bs, m, bs, traits), np.uint8)
+    zsizes = encode_batch(body, mu, radius, E, traits, out=out, arena=KernelArena())
+    bounds = np.concatenate([[0], np.cumsum(zsizes)])
+    return out[: bounds[-1]].copy(), bounds
+
+
+def _decode(payload, bounds, bs, traits, arena=None):
+    return decode_batch(
+        payload, bounds[:-1], bs, traits, ends=bounds[1:],
+        arena=arena if arena is not None else KernelArena(),
+    )
+
+
+def _assert_matches_scalar(payload, bounds, bs, traits):
+    got = _decode(payload, bounds, bs, traits)
+    assert got.shape == (bounds.size - 1, bs) and got.dtype == traits.dtype
+    for i in range(bounds.size - 1):
+        block = payload[bounds[i] : bounds[i + 1]].tobytes()
+        expect = _decode_nonconstant_block(block, bs, traits)
+        assert got[i].tobytes() == expect.tobytes(), f"block {i} differs"
+
+
+class TestScanDecoder:
+    """decode_batch against the per-value scalar decoder, bit for bit."""
+
+    @pytest.mark.parametrize("traits", TRAITS, ids=["f32", "f64"])
+    @pytest.mark.parametrize("bs", [2, 100, 128, 129])
+    def test_chains_span_whole_blocks(self, traits, bs):
+        kinds = ["chain", "walk", "chain", "lossless", "chain", "min"]
+        body, mu, radius = _scan_batch(traits, bs, kinds, seed=bs)
+        payload, bounds = _encoded(traits, body, mu, radius)
+        for i, kind in enumerate(kinds):
+            _, leads = _payload_leads(payload[bounds[i] :].tobytes(), bs, traits)
+            if kind == "chain":  # every round of the scan has work
+                assert leads[1:].min() >= 1, leads
+        _assert_matches_scalar(payload, bounds, bs, traits)
+
+    @pytest.mark.parametrize("traits", TRAITS, ids=["f32", "f64"])
+    def test_scatter_row_groups(self, traits):
+        # 130 blocks of 512 values hold > 256 KiB of records, so the
+        # scatter walks several row groups.
+        kinds = ["chain", "walk", "lossless", "min", "walk"] * 26
+        body, mu, radius = _scan_batch(traits, 512, kinds, seed=21)
+        _assert_matches_scalar(*_encoded(traits, body, mu, radius), 512, traits)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        traits=st.sampled_from(TRAITS),
+        bs=st.sampled_from([1, 3, 7, 64, 100, 127, 128, 129, 255]),
+        kinds=st.lists(
+            st.sampled_from(["chain", "walk", "lossless", "min"]),
+            min_size=1, max_size=6,
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_scalar_property(self, traits, bs, kinds, seed):
+        body, mu, radius = _scan_batch(traits, bs, kinds, seed)
+        _assert_matches_scalar(*_encoded(traits, body, mu, radius), bs, traits)
+
+    @pytest.mark.parametrize("traits", TRAITS, ids=["f32", "f64"])
+    def test_second_decode_reuses_the_arena(self, traits):
+        body, mu, radius = _scan_batch(traits, 128, ["walk", "chain"] * 3, seed=9)
+        payload, bounds = _encoded(traits, body, mu, radius)
+        arena = KernelArena()
+        first = _decode(payload, bounds, 128, traits, arena)
+        keys, held = set(arena._bufs), arena.nbytes
+        second = _decode(payload, bounds, 128, traits, arena)
+        assert set(arena._bufs) == keys and arena.nbytes == held
+        assert first.tobytes() == second.tobytes()
+
+    def test_decode_shares_the_encoders_buffers(self):
+        arena = KernelArena()
+        comp = compress_blocks(_field(np.float32), 1e-3, 128, arena=arena)
+        keys, held = set(arena._bufs), arena.nbytes
+        decompress_blocks(parse_stream(comp.to_bytes()), arena=arena)
+        assert set(arena._bufs) == keys and arena.nbytes == held
+
+
+@pytest.mark.parametrize("traits", TRAITS, ids=["f32", "f64"])
+class TestDecodeBatchRejects:
+    """Corrupt batches raise PayloadFormatError before the scatter, never
+    a numpy shape or index error."""
+
+    BS = 64
+
+    def _batch(self, traits):
+        body, mu, radius = _scan_batch(traits, self.BS, ["min", "walk", "chain"], 4)
+        return _encoded(traits, body, mu, radius)
+
+    @pytest.mark.parametrize("delta", [-1, +1])
+    def test_required_length_out_of_range(self, traits, delta):
+        payload, bounds = self._batch(traits)
+        payload[bounds[1]] = traits.se_bits - 1 if delta < 0 else traits.fullbits + 1
+        with pytest.raises(PayloadFormatError, match="required length"):
+            _decode(payload, bounds, self.BS, traits)
+
+    def test_lead_exceeds_nbytes(self, traits):
+        payload, bounds = self._batch(traits)
+        assert payload[0] == traits.se_bits  # block 0 keeps 2 bytes a value
+        payload[1 + traits.itemsize] = 0xFF  # leads of max_lead > 2
+        with pytest.raises(PayloadFormatError, match="leading count exceeds"):
+            _decode(payload, bounds, self.BS, traits)
+
+    def test_mid_byte_count_disagrees(self, traits):
+        payload, bounds = self._batch(traits)
+        bounds[-1] -= 1  # the last block is one mid-byte short
+        with pytest.raises(PayloadFormatError, match="mid-byte count"):
+            _decode(payload, bounds, self.BS, traits)
+
+    @pytest.mark.parametrize("cut", [1, 2, "last-block"])
+    def test_payload_slice_shorter_than_accounting(self, traits, cut):
+        payload, bounds = self._batch(traits)
+        keep = bounds[-2] + 1 if cut == "last-block" else payload.size - cut
+        with pytest.raises(PayloadFormatError, match="shorter"):
+            _decode(payload[:keep], bounds, self.BS, traits)
+
+    def test_block_shorter_than_its_fixed_sections(self, traits):
+        payload, _ = self._batch(traits)
+        head = 1 + traits.itemsize + lead_section_size(self.BS, traits)
+        with pytest.raises(PayloadFormatError, match="fixed sections"):
+            _decode(payload, np.array([0, head - 1]), self.BS, traits)
+
+    def test_blocks_must_be_back_to_back(self, traits):
+        payload, bounds = self._batch(traits)
+        with pytest.raises(ValueError, match="back-to-back"):
+            decode_batch(payload, bounds[:-1], self.BS, traits, ends=bounds[1:] - 1)

@@ -83,9 +83,8 @@ class TestEncodeDecodeEmpty:
         assert out[: zsizes.sum()].tobytes() == b"" and zsizes.size == 0
 
     def test_decode_no_blocks(self):
-        out = decode_batch(
-            np.empty(0, np.uint8), np.empty(0, np.int64), 128, FLOAT32
-        )
+        none = np.empty(0, np.int64)
+        out = decode_batch(np.empty(0, np.uint8), none, 128, FLOAT32, ends=none)
         assert out.shape == (0, 128)
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.huffman import HuffmanCodec, huffman_decode, huffman_encode
+from repro.huffman.codec import _HEADER
 
 
 class TestRoundtrip:
@@ -52,6 +53,33 @@ class TestRoundtrip:
     def test_truncated(self):
         with pytest.raises(ValueError):
             huffman_decode(b"HU")
+
+    @staticmethod
+    def _reheader(buf: bytes, **fields) -> bytes:
+        """*buf* with some header fields (see ``_HEADER``) replaced."""
+        names = ("magic", "max_len", "reserved", "n", "alphabet", "chunk",
+                 "n_chunks")
+        values = dict(zip(names, _HEADER.unpack(buf[: _HEADER.size])))
+        values.update(fields)
+        return _HEADER.pack(*(values[k] for k in names)) + buf[_HEADER.size :]
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"n": 2000 + (1 << 48)}, {"n": 2100}, {"chunk": 0}, {"n_chunks": 33}],
+        ids=["huge-n", "n-past-chunks", "zero-chunk", "extra-chunk"],
+    )
+    def test_symbol_count_disagreeing_with_chunks(self, fields):
+        buf = huffman_encode(np.arange(2000, dtype=np.uint16) % 7)
+        with pytest.raises(ValueError, match="chunk table"):
+            huffman_decode(self._reheader(buf, **fields))
+
+    def test_more_symbols_than_payload_bits(self):
+        # 10 symbols of one 1-bit code fill 2 payload bytes; 17+ symbols
+        # cannot fit 16 bits, whatever the chunk table says.
+        buf = huffman_encode(np.zeros(10, dtype=np.uint16))
+        assert huffman_decode(self._reheader(buf, n=16)).size == 16
+        with pytest.raises(ValueError, match="payload bits"):
+            huffman_decode(self._reheader(buf, n=17))
 
     def test_corrupt_payload_detected_or_wrong(self):
         arr = np.arange(100, dtype=np.uint16) % 7

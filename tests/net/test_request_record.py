@@ -235,3 +235,65 @@ class TestHttpBodyFraming:
             assert len(server.request_log) == 0
 
         run(with_server(scenario))
+
+
+class TestHttpAdapterErrorsAreTyped:
+    """Replies the adapter itself makes carry ``code`` and ``retryable``."""
+
+    @staticmethod
+    def _doc(resp: bytes, status: bytes) -> dict:
+        head, _, body = resp.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 " + status), head
+        return json.loads(body)
+
+    @staticmethod
+    def _assert_typed(doc: dict, needle: str) -> None:
+        assert doc["code"] == "bad_request"
+        assert doc["retryable"] is False
+        assert needle in doc["error"]
+
+    def test_bad_preamble(self):
+        async def scenario(server):
+            reader, writer = await asyncio.open_connection(
+                server.host, server.port
+            )
+            writer.write(b"GET /health HTTP/1.1\r\nHost: x\r\n")
+            writer.write_eof()  # the head never ends
+            resp = await reader.read()
+            writer.close()
+            return resp
+
+        doc = self._doc(run(with_server(scenario)), b"400")
+        self._assert_typed(doc, "bad HTTP preamble")
+
+    def test_bad_request_line(self):
+        resp = run(with_server(
+            lambda server: http(server, b"GET /health\r\nHost: x\r\n\r\n")
+        ))
+        self._assert_typed(self._doc(resp, b"400"), "bad HTTP request line")
+
+    def test_body_over_cap(self):
+        resp = run(with_server(
+            lambda server: http(server, (
+                b"POST /compress HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: 4096\r\n\r\n"
+            )),
+            max_frame=1024,
+        ))
+        self._assert_typed(self._doc(resp, b"413"), "over cap")
+
+    def test_unknown_route(self):
+        resp = run(with_server(
+            lambda server: http(server, b"GET /nope HTTP/1.1\r\nHost: x\r\n\r\n")
+        ))
+        self._assert_typed(self._doc(resp, b"404"), "no route GET /nope")
+
+    @pytest.mark.parametrize("limit", ["zero", "0", "-3"])
+    def test_bad_debug_requests_limit(self, limit):
+        resp = run(with_server(
+            lambda server: http(server, (
+                f"GET /debug/requests?limit={limit} HTTP/1.1\r\n"
+                f"Host: x\r\n\r\n"
+            ).encode())
+        ))
+        self._assert_typed(self._doc(resp, b"400"), "bad limit")
