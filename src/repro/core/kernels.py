@@ -759,20 +759,41 @@ def decompress_blocks(
     components: StreamComponents,
     *,
     arena: KernelArena | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Reconstruct the dataset from parsed *components* via the fused chain."""
+    """Reconstruct the dataset from parsed *components* via the fused chain.
+
+    *out*, when given, receives the values instead of a new array: a
+    C-contiguous 1-D array of the header's dtype and ``n`` (anything
+    else raises ``ValueError``).  Parallel decoders pass their run's
+    slice of the shared output.
+    """
     header = components.header
+    dtype = header.traits.dtype
+    if out is None:
+        out = np.empty(header.n, dtype=dtype)
+    elif not (
+        isinstance(out, np.ndarray)
+        and out.ndim == 1
+        and out.dtype == dtype
+        and out.size == header.n
+        and out.flags.c_contiguous
+        and out.flags.writeable
+    ):
+        raise ValueError(
+            f"out must be a writeable C-contiguous 1-D {dtype} array of "
+            f"{header.n} values"
+        )
     ctx = DECODE_CHAIN.run({
         "components": components,
         "layout": BlockLayout(header.n, header.block_size),
         "block_size": header.block_size,
         "traits": header.traits,
-        "out": np.empty(header.n, dtype=header.traits.dtype),
+        "out": out,
         "offsets": payload_offsets(components.zsizes),
         "payload_u8": np.frombuffer(components.payload, dtype=np.uint8),
         "arena": arena if arena is not None else default_arena(),
     })
-    out = ctx["out"]
     if header.shape:
         return out.reshape(header.shape)
     return out

@@ -7,7 +7,8 @@ merged parallel stream is byte-identical to the serial one — for both
 execution backends:
 
 * ``backend="thread"`` (:mod:`repro.parallel.omp`) — the OpenMP-style
-  :class:`ThreadPoolExecutor` harness;
+  harness on a persistent thread team whose threads and kernel arenas
+  live as long as the process;
 * ``backend="process"`` (:mod:`repro.parallel.procpool`) — a
   :class:`ProcessPoolExecutor` + ``multiprocessing.shared_memory``
   harness that passes arrays as zero-copy shared-memory views, the

@@ -2,7 +2,7 @@
 
 Two backends execute the paper's Section 6.1 block decomposition:
 
-* ``"thread"`` — the OpenMP-style :class:`ThreadPoolExecutor` harness
+* ``"thread"`` — the OpenMP-style harness on a persistent thread team
   (:mod:`repro.parallel.omp`).  numpy kernels release the GIL, but the
   Python-level glue between them still serializes, which is why
   threads do not scale on interpreter-bound workloads.

@@ -190,7 +190,7 @@ def _decompress_task(task: tuple):
         out = np.ndarray(
             (total_n,), dtype=part.header.traits.dtype, buffer=out_shm.buf
         )
-        out[lo : lo + part.header.n] = decompress_blocks(part)
+        decompress_blocks(part, out=out[lo : lo + part.header.n])
     finally:
         out_shm.close()
     return (_time.perf_counter() - w0, 0.0, os.getpid(), span_id)

@@ -645,3 +645,68 @@ class TestDecodeBatchRejects:
         payload, bounds = self._batch(traits)
         with pytest.raises(ValueError, match="back-to-back"):
             decode_batch(payload, bounds[:-1], self.BS, traits, ends=bounds[1:] - 1)
+
+
+# -- decoding into a caller's array -------------------------------------------
+
+
+class TestDecompressInto:
+    """``decompress_blocks(out=)`` writes the very values of the default path."""
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("n", [0, 1, 127, 128 * 40 + 33])
+    def test_out_matches_default_bit_for_bit(self, dtype, n):
+        data = _field(dtype, n)
+        if n > 300:
+            data[128:384] = data[128]  # constant blocks
+        comp = parse_stream(compress_blocks(data, 1e-4, 128).to_bytes())
+        ref = decompress_blocks(comp)
+        out = np.full(n, np.nan, dtype=dtype)
+        got = decompress_blocks(comp, out=out)
+        assert np.shares_memory(got, out) or n == 0
+        assert out.tobytes() == ref.tobytes()
+
+    def test_out_restores_the_header_shape(self):
+        data = _field(np.float32, 60 * 50).reshape(60, 50)
+        comp = parse_stream(compress_blocks(data, 1e-3, 128).to_bytes())
+        out = np.empty(data.size, dtype=np.float32)
+        got = decompress_blocks(comp, out=out)
+        assert got.shape == data.shape and np.shares_memory(got, out)
+        assert got.tobytes() == decompress_blocks(comp).tobytes()
+
+    def test_out_slice_of_a_larger_array(self):
+        data = _field(np.float64, 1000)
+        comp = parse_stream(compress_blocks(data, 1e-6, 32).to_bytes())
+        big = np.zeros(1200)
+        decompress_blocks(comp, out=big[100:1100])
+        assert big[100:1100].tobytes() == decompress_blocks(comp).tobytes()
+        assert not big[:100].any() and not big[1100:].any()
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.empty(999, dtype=np.float32),  # too short
+            np.empty(1001, dtype=np.float32),  # too long
+            np.empty(1000, dtype=np.float64),  # wrong dtype
+            np.empty(1000, dtype=">f4"),  # wrong byte order
+            np.empty((10, 100), dtype=np.float32),  # not 1-D
+            np.empty(2000, dtype=np.float32)[::2],  # not contiguous
+            np.empty(1000, dtype=np.float32).tolist(),  # not an array
+        ],
+        ids=["short", "long", "dtype", "byteorder", "2d", "strided", "list"],
+    )
+    def test_rejects(self, bad):
+        comp = parse_stream(
+            compress_blocks(_field(np.float32, 1000), 1e-3, 128).to_bytes()
+        )
+        with pytest.raises(ValueError, match="out must be"):
+            decompress_blocks(comp, out=bad)
+
+    def test_rejects_read_only(self):
+        comp = parse_stream(
+            compress_blocks(_field(np.float32, 1000), 1e-3, 128).to_bytes()
+        )
+        out = np.empty(1000, dtype=np.float32)
+        out.flags.writeable = False
+        with pytest.raises(ValueError, match="out must be"):
+            decompress_blocks(comp, out=out)
